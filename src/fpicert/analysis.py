@@ -10,9 +10,10 @@ The residual map ``x - F(x)`` of the Douglas-Rachford operator on
     P_J = X_J + A_J^T R_+^{|J|},      X_J = {x in X : A_J x = b_J},
 
 indexed by the active sets J with independent rows and nonempty face.
-``enumerate_pieces_lp`` / ``enumerate_pieces_qp`` produce every such
-piece (desk scale: the row count is capped), and the remaining functions
-consume them.
+One enumeration body walks those faces and builds every piece (desk
+scale: the row count is capped); ``enumerate_pieces_lp`` and
+``enumerate_pieces_qp`` only supply the affine map of their problem
+kind on each face.  The remaining functions consume the pieces.
 """
 
 from dataclasses import dataclass
@@ -21,7 +22,7 @@ from itertools import combinations
 import numpy as np
 
 from .errors import EmptyFixedSet, Infeasible, NoFixedPoints, TooLarge
-from .linalg import row_space_basis, spectral_summary
+from .linalg import row_and_null_space, spectral_summary
 from .polyhedra import (Polyhedron, affine_rows, face_feasible_point,
                         find_feasible_point, intersect, project_polyhedron)
 
@@ -44,7 +45,10 @@ class ActiveSetPiece:
     ``region`` is the explicit inequality description of that region;
     membership is equivalently certified by nonnegative face multipliers
     plus feasibility of the face projection, which is what ``contains``
-    evaluates.
+    evaluates.  ``hoffman_bound`` is ``1 / sigma_min_plus(M)``, an upper
+    bound on the Hoffman constant of the map relative to its region, and
+    0.0 for the zero map (whose region consists entirely of zeros
+    whenever it is used).
     """
 
     active: tuple
@@ -83,31 +87,7 @@ class ActiveSetPiece:
         return self.source.contains(self.face_projection(x), tol * scale)
 
 
-def hoffman_bound_piece(piece):
-    """Upper bound ``1 / sigma_min_plus(M)`` on the Hoffman constant of
-    the piece's affine map relative to its region; 0.0 for the zero map
-    (whose region consists entirely of zeros whenever it is used)."""
-    return piece.hoffman_bound
-
-
-def _bound_from_sigma(sigma_min_plus):
-    return 0.0 if sigma_min_plus == 0.0 else 1.0 / sigma_min_plus
-
-
-def _face_projection_data(A, b, J):
-    """Pseudoinverse-based projection data for the face with active set J."""
-    AJ = A[list(J)]
-    bJ = b[list(J)]
-    gram = AJ @ AJ.T
-    gram_inv = np.linalg.inv(gram)
-    Ad = AJ.T @ gram_inv          # pseudoinverse of AJ (full row rank)
-    D = Ad @ AJ                   # orthogonal projector onto Range(AJ^T)
-    return AJ, bJ, Ad, D, gram_inv
-
-
-def _region_polyhedron(X, J, D, Ad_bJ, mult_matrix, mult_rhs):
-    if not J:
-        return X
+def _region_polyhedron(X, D, Ad_bJ, mult_matrix, mult_rhs):
     n = X.dim
     C1 = X.A @ (np.eye(n) - D)
     d1 = X.b - X.A @ Ad_bJ
@@ -155,28 +135,42 @@ def _enumerate_faces(X, budget_rows=MAX_ENUM_ROWS):
     return faces
 
 
-def _build_piece(X, J, M, v):
+def _enumerate_pieces(X, residual_map):
+    """One piece per face of X.  ``residual_map(J, D, pjb)`` gives the
+    affine map ``(M, v)`` on the face with active set J, from the
+    projector ``D = pinv(A_J) A_J`` and ``pjb = pinv(A_J) b_J`` (both zero
+    for the empty active set)."""
     n = X.dim
-    if J:
-        AJ, bJ, Ad, D, gram_inv = _face_projection_data(X.A, X.b, J)
-        mult_matrix = gram_inv @ AJ
-        mult_rhs = gram_inv @ bJ
-        proj_matrix = np.eye(n) - D
-        proj_offset = Ad @ bJ
-        region = _region_polyhedron(X, J, D, proj_offset, mult_matrix, mult_rhs)
-    else:
-        mult_matrix = np.zeros((0, n))
-        mult_rhs = np.zeros(0)
-        proj_matrix = np.eye(n)
-        proj_offset = np.zeros(n)
-        region = X
-    sigma = spectral_summary(M).sigma_min_plus
-    return ActiveSetPiece(
-        active=tuple(J), M=M, v=v, region=region,
-        hoffman_bound=_bound_from_sigma(sigma), sigma_min_plus=sigma,
-        proj_matrix=proj_matrix, proj_offset=proj_offset,
-        mult_matrix=mult_matrix, mult_rhs=mult_rhs, source=X,
-    )
+    pieces = []
+    for J in _enumerate_faces(X):
+        if J:
+            AJ = X.A[list(J)]
+            bJ = X.b[list(J)]
+            gram_inv = np.linalg.inv(AJ @ AJ.T)
+            Ad = AJ.T @ gram_inv          # pseudoinverse of AJ (full row rank)
+            D = Ad @ AJ                   # orthogonal projector onto Range(AJ^T)
+            pjb = Ad @ bJ
+            mult_matrix = gram_inv @ AJ
+            mult_rhs = gram_inv @ bJ
+            proj_matrix = np.eye(n) - D
+            region = _region_polyhedron(X, D, pjb, mult_matrix, mult_rhs)
+        else:
+            D = np.zeros((n, n))
+            pjb = np.zeros(n)
+            mult_matrix = np.zeros((0, n))
+            mult_rhs = np.zeros(0)
+            proj_matrix = np.eye(n)
+            region = X
+        M, v = residual_map(J, D, pjb)
+        sigma = spectral_summary(M).sigma_min_plus
+        pieces.append(ActiveSetPiece(
+            active=tuple(J), M=M, v=v, region=region,
+            hoffman_bound=0.0 if sigma == 0.0 else 1.0 / sigma,
+            sigma_min_plus=sigma,
+            proj_matrix=proj_matrix, proj_offset=pjb,
+            mult_matrix=mult_matrix, mult_rhs=mult_rhs, source=X,
+        ))
+    return pieces
 
 
 def enumerate_pieces_lp(X, c, gamma, alpha):
@@ -185,18 +179,13 @@ def enumerate_pieces_lp(X, c, gamma, alpha):
     on each region, ``M = 2a pinv(A_J) A_J`` and ``v = 2a (pinv(A_J) b_J
     - g c)``."""
     c = np.asarray(c, dtype=float)
-    n = X.dim
-    pieces = []
-    for J in _enumerate_faces(X):
-        if J:
-            AJ, bJ, Ad, D, _ = _face_projection_data(X.A, X.b, J)
-            M = 2.0 * alpha * D
-            v = 2.0 * alpha * (Ad @ bJ - gamma * c)
-        else:
-            M = np.zeros((n, n))
-            v = -2.0 * alpha * gamma * c
-        pieces.append(_build_piece(X, J, M, v))
-    return pieces
+
+    def residual_map(J, D, pjb):
+        # the free piece keeps the rounding of its closed form -2a g c
+        v = 2.0 * alpha * (pjb - gamma * c) if J else -2.0 * alpha * gamma * c
+        return 2.0 * alpha * D, v
+
+    return _enumerate_pieces(X, residual_map)
 
 
 def enumerate_pieces_qp(X, Q, c, gamma, alpha):
@@ -211,18 +200,13 @@ def enumerate_pieces_qp(X, Q, c, gamma, alpha):
     c = np.asarray(c, dtype=float)
     n = X.dim
     W = np.linalg.solve(gamma * Q + np.eye(n), np.eye(n))
-    pieces = []
-    for J in _enumerate_faces(X):
-        if J:
-            AJ, bJ, Ad, D, _ = _face_projection_data(X.A, X.b, J)
-            pjb = Ad @ bJ
-        else:
-            D = np.zeros((n, n))
-            pjb = np.zeros(n)
+
+    def residual_map(J, D, pjb):
         M = 2.0 * alpha * (np.eye(n) - D - W @ (np.eye(n) - 2.0 * D))
         v = 2.0 * alpha * (W @ (2.0 * pjb - gamma * c) - pjb)
-        pieces.append(_build_piece(X, J, M, v))
-    return pieces
+        return M, v
+
+    return _enumerate_pieces(X, residual_map)
 
 
 @dataclass(frozen=True)
@@ -330,7 +314,7 @@ def fixed_point_set(pieces):
         x0, *_ = np.linalg.lstsq(M, v, rcond=None)
         if np.linalg.norm(M @ x0 - v) > ZERO_CERT_TOL * scale:
             continue  # M x = v has no solution at all
-        B = row_space_basis(M)
+        B, _ = row_and_null_space(M)
         if B.shape[0]:
             inter = intersect(piece.region, affine_rows(B, B @ x0))
         else:
@@ -386,42 +370,15 @@ def error_bound_constant(pieces, fixset):
     return max(bounds)
 
 
-@dataclass(frozen=True)
-class ScaledFixedSet:
-    """Distance proxy for an operator conjugated by scaling:
-    if T(w) = F(s w)/s then dist(w, Fix T) = dist(s w, Fix F)/s."""
-
-    inner: FixedPointSetDescription
-    scale: float
-
-    @property
-    def representative(self):
-        return self.inner.representative / self.scale
-
-    @property
-    def source(self):
-        return self.inner.source
-
-    @property
-    def exact(self):
-        return self.inner.exact
-
-    @property
-    def pieces(self):
-        return self.inner.pieces
-
-    def distance(self, x):
-        return self.inner.distance(self.scale * np.asarray(x, dtype=float)) / self.scale
-
-
 def estimate_min_residual(piece, samples=64, seed=0, scale=5.0):
-    """Sampled lower-bound estimate of ``inf ||M x - v||`` over the
-    region of a piece (used to report the radius on which the error
-    bound is in force for pieces that miss the fixed-point set).
+    """Sampled upper bound on ``inf ||M x - v||`` over the region of a
+    piece: a minimum over points of the region (used to report the
+    radius on which the error bound is in force for pieces that miss the
+    fixed-point set).
 
     The infimum itself is a structured polyhedral problem we do not
-    solve exactly; the returned value is labeled as sampled wherever it
-    is surfaced.
+    solve exactly; the returned value is labeled as a sampled upper
+    bound wherever it is surfaced.
     """
     rng = np.random.default_rng(seed)
     n = piece.dim

@@ -22,8 +22,7 @@ import numpy as np
 
 from . import analysis, engine, problems, rates, verify
 from .engine import STOP_RESIDUAL
-from .errors import (FpicertError, NoFixedPoints, ParseError, TooLarge,
-                     ValidationError)
+from .errors import FpicertError, ParseError, TooLarge, ValidationError
 from .operators import PrimalExtraction
 from .prox import prox
 
@@ -110,16 +109,6 @@ def _load(path):
         raise SystemExit(EXIT_INVALID)
 
 
-def _params_for(instance, args):
-    gamma = args.gamma
-    if gamma is None:
-        if instance.kind == "qp":
-            gamma = 0.5 / max(np.linalg.eigvalsh(instance.Q).max(), 1e-12)
-        else:
-            gamma = 1.0
-    return gamma
-
-
 def _write_trace(path, trace, objective_fn):
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -137,8 +126,8 @@ def _write_trace(path, trace, objective_fn):
 
 def cmd_solve(args):
     instance = _load(args.problem)
-    gamma = _params_for(instance, args)
     try:
+        gamma = verify.kind_setup(instance, args.gamma).gamma
         op, extraction = problems.operator_for(
             instance, args.algorithm, gamma=gamma, alpha=args.alpha,
             lam=args.lam, rho=args.rho)
@@ -187,7 +176,7 @@ def cmd_solve(args):
 def _piece_table(pieces, fixset, max_eps_pieces=64):
     meeting = {id(p.source_piece) for p in fixset.pieces}
     lines = ["active_set  rank  sigma_min_plus  hoffman_bound  meets_fixed_set"
-             "  min_residual(sampled)"]
+             "  min_residual(sampled upper bound)"]
     small = len(pieces) <= max_eps_pieces
     for piece in pieces:
         meets = id(piece) in meeting
@@ -203,47 +192,37 @@ def _piece_table(pieces, fixset, max_eps_pieces=64):
 
 def cmd_analyze(args):
     instance = _load(args.problem)
-    if instance.kind not in ("lp", "qp"):
-        print("error: analyze applies to lp/qp instances", file=sys.stderr)
-        return EXIT_INVALID
-    gamma = _params_for(instance, args)
     try:
-        if instance.kind == "lp":
-            pieces = analysis.enumerate_pieces_lp(instance.X, instance.c,
-                                                  gamma, args.alpha)
-            cert = rates.lp_certificate(args.alpha)
-        else:
-            lam_max = float(np.linalg.eigvalsh(instance.Q).max())
-            from .linalg import condition_number_plus
-            pieces = analysis.enumerate_pieces_qp(instance.X, instance.Q,
-                                                  instance.c, gamma, args.alpha)
-            cert = rates.qp_certificate(args.alpha, gamma, lam_max,
-                                        condition_number_plus(instance.Q))
+        setup = verify.kind_setup(instance, args.gamma, args.alpha)
+        if setup.pieces is None:
+            raise ValueError("analyze applies to lp/qp instances")
+        pieces = setup.pieces()
+        cert = setup.certificate()
+        fixset = analysis.fixed_point_set(pieces)
+        K = analysis.error_bound_constant(pieces, fixset)
+        rate = rates.rates_from_K(args.alpha, K)
     except TooLarge as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_TOO_LARGE
-    try:
-        fixset = analysis.fixed_point_set(pieces)
-    except NoFixedPoints as exc:
+    except (ValueError, FpicertError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
-    K = analysis.error_bound_constant(pieces, fixset)
     lines = [f"problem: {args.problem} (kind={instance.kind}, "
              f"n={instance.dim}, m={instance.X.num_rows})",
-             f"params: gamma={gamma} alpha={args.alpha}",
+             f"params: gamma={setup.gamma} alpha={args.alpha}",
              "",
              *_piece_table(pieces, fixset),
              "",
              f"K (max piece bound over pieces meeting the fixed set): {K!r}",
              f"closed-form certificate [{cert.source}]: K <= {cert.K}",
-             f"distance rate rho (from K): {rates.rates_from_K(args.alpha, K).rho_dist}",
-             f"relaxed distance rate: {rates.rates_from_K(args.alpha, K).rho_dist_relaxed}",
+             f"distance rate rho (from K): {rate.rho_dist}",
+             f"relaxed distance rate: {rate.rho_dist_relaxed}",
              f"note: {cert.valid_radius_note}"]
     text = "\n".join(lines) + "\n"
     with open(args.out, "w") as fh:
         fh.write(text)
     payload = {"problem": args.problem, "kind": instance.kind,
-               "gamma": gamma, "alpha": args.alpha,
+               "gamma": setup.gamma, "alpha": args.alpha,
                "K": K, "K_closed_form": cert.K, "certificate": cert.source,
                "pieces": [{"active": list(p.active),
                            "sigma_min_plus": p.sigma_min_plus,
@@ -271,6 +250,12 @@ def _write_reports(reports, out_path):
 def cmd_verify(args):
     reports = []
     seeds = [int(s) for s in str(args.seeds).split(",") if s != ""]
+
+    def check(instance, truth, seed):
+        reports.append(verify.verify_splitting(
+            instance, gamma=args.gamma, alpha=args.alpha, seed=seed,
+            radius_sweep=args.radius_sweep, truth=truth))
+
     try:
         if args.builtin == "example3":
             for lam in (float(t) for t in args.lam_grid.split(",")):
@@ -282,38 +267,20 @@ def cmd_verify(args):
                                                               seed=args.seed))
         elif args.builtin == "lp-batch":
             for seed in seeds:
-                inst, truth = problems.generate_lp(args.n, args.m, seed)
-                reports.append(verify.verify_lp(
-                    inst, gamma=args.gamma or 1.0, alpha=args.alpha,
-                    seed=seed, radius_sweep=args.radius_sweep, truth=truth))
+                check(*problems.generate_lp(args.n, args.m, seed), seed)
         elif args.builtin == "qp-batch":
+            rank_q = args.rank_q or max(1, args.n - 1)
             for seed in seeds:
-                rank_q = args.rank_q or max(1, args.n - 1)
-                inst, truth = problems.generate_qp(args.n, args.m, rank_q, seed)
-                reports.append(verify.verify_qp(
-                    inst, gamma=args.gamma, alpha=args.alpha, seed=seed,
-                    radius_sweep=args.radius_sweep, truth=truth))
+                check(*problems.generate_qp(args.n, args.m, rank_q, seed), seed)
         elif args.problem is not None:
-            instance = _load(args.problem)
-            if instance.kind == "lp":
-                reports.append(verify.verify_lp(
-                    instance, gamma=args.gamma or 1.0, alpha=args.alpha,
-                    seed=args.seed, radius_sweep=args.radius_sweep))
-            elif instance.kind == "qp":
-                reports.append(verify.verify_qp(
-                    instance, gamma=args.gamma, alpha=args.alpha,
-                    seed=args.seed, radius_sweep=args.radius_sweep))
-            else:
-                print("error: verify applies to lp/qp instances or builtins",
-                      file=sys.stderr)
-                return EXIT_INVALID
+            check(_load(args.problem), None, args.seed)
         else:
             print("error: give a problem file or --builtin", file=sys.stderr)
             return EXIT_INVALID
     except TooLarge as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_TOO_LARGE
-    except NoFixedPoints as exc:
+    except (ValueError, FpicertError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
     _write_reports(reports, args.out)

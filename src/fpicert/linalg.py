@@ -14,6 +14,9 @@ from .errors import NotPSD, ZeroMatrix
 #: Relative cutoff separating "zero" from "positive" singular values.
 DEFAULT_RANK_TOL = 1e-10
 
+#: Tolerance of the symmetry and PSD check on problem data.
+PSD_TOL = 1e-9
+
 
 def as_matrix(A):
     """Return ``A`` as a finite 2-d float array, validating the entries."""
@@ -67,6 +70,31 @@ def spectral_summary(A, tol=DEFAULT_RANK_TOL):
     return SpectralSummary(svals, rank, sigma_min_plus)
 
 
+def psd_eigenvalues(Q, tol=PSD_TOL, relative=False):
+    """Ascending eigenvalues of a symmetric positive semidefinite ``Q``.
+
+    Raises ``NotPSD`` when ``Q`` is not square, when ``|Q - Q'|`` exceeds
+    ``tol * max(1, max|Q|)``, or when an eigenvalue lies below
+    ``-tol * max(1, |lambda_max|)``.  With ``relative`` the eigenvalue
+    test is ``-tol * lambda_max`` instead, and ``lambda_max <= tol``
+    raises ``ZeroMatrix`` before it.
+    """
+    if Q.shape[0] != Q.shape[1]:
+        raise NotPSD(f"matrix is {Q.shape[0]}x{Q.shape[1]}, not square")
+    scale = max(1.0, float(np.abs(Q).max(initial=0.0)))
+    if np.abs(Q - Q.T).max(initial=0.0) > tol * scale:
+        raise NotPSD("matrix is not symmetric")
+    eigs = np.linalg.eigvalsh(0.5 * (Q + Q.T))
+    if not eigs.size:
+        return eigs
+    if relative and eigs[-1] <= tol:
+        raise ZeroMatrix("largest eigenvalue is numerically zero")
+    floor = eigs[-1] if relative else max(1.0, abs(eigs[-1]))
+    if eigs[0] < -tol * floor:
+        raise NotPSD(f"negative eigenvalue {eigs[0]:.3e}")
+    return eigs
+
+
 def condition_number_plus(Q, tol=DEFAULT_RANK_TOL):
     """Restricted condition number lambda_max / lambda_min_plus of a
     symmetric PSD matrix, where lambda_min_plus is the smallest eigenvalue
@@ -75,18 +103,8 @@ def condition_number_plus(Q, tol=DEFAULT_RANK_TOL):
     Raises ``NotPSD`` for asymmetric input or a negative eigenvalue below
     ``-tol * lambda_max``, and ``ZeroMatrix`` when lambda_max <= tol.
     """
-    Q = as_matrix(Q)
-    if Q.shape[0] != Q.shape[1]:
-        raise NotPSD(f"matrix is {Q.shape[0]}x{Q.shape[1]}, not square")
-    scale = max(1.0, float(np.abs(Q).max()))
-    if np.abs(Q - Q.T).max() > tol * scale:
-        raise NotPSD("matrix is not symmetric")
-    eigs = np.linalg.eigvalsh(0.5 * (Q + Q.T))
+    eigs = psd_eigenvalues(as_matrix(Q), tol, relative=True)
     lam_max = float(eigs[-1])
-    if lam_max <= tol:
-        raise ZeroMatrix("largest eigenvalue is numerically zero")
-    if eigs[0] < -tol * lam_max:
-        raise NotPSD(f"negative eigenvalue {eigs[0]:.3e}")
     positive = eigs[eigs > tol * lam_max]
     lam_min_plus = float(positive[0])
     return lam_max / lam_min_plus
@@ -100,19 +118,12 @@ def lambda_max_psd(Q):
     return float(np.linalg.eigvalsh(0.5 * (Q + Q.T))[-1])
 
 
-def null_space_basis(A, tol=DEFAULT_RANK_TOL):
-    """Orthonormal basis (columns) of the null space of ``A``."""
+def row_and_null_space(A, tol=DEFAULT_RANK_TOL):
+    """Orthonormal bases of the row space (rows) and of the null space
+    (columns) of ``A``, split at the numerical rank: singular values
+    above ``tol * sigma_max``."""
     A = as_matrix(A)
     _, svals, vt = np.linalg.svd(A)
     cutoff = tol * svals[0] if svals.size and svals[0] > 0 else 0.0
     rank = int(np.count_nonzero(svals > cutoff))
-    return vt[rank:].T
-
-
-def row_space_basis(A, tol=DEFAULT_RANK_TOL):
-    """Orthonormal basis (rows) of the row space of ``A``."""
-    A = as_matrix(A)
-    _, svals, vt = np.linalg.svd(A)
-    cutoff = tol * svals[0] if svals.size and svals[0] > 0 else 0.0
-    rank = int(np.count_nonzero(svals > cutoff))
-    return vt[:rank]
+    return vt[:rank], vt[rank:].T

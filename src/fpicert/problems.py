@@ -14,16 +14,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import prox as fn
-from .errors import ParseError, ValidationError
-from .linalg import lambda_max_psd
+from .errors import NotPSD, ParseError, ValidationError
+from .linalg import lambda_max_psd, psd_eigenvalues
 from .operators import (FixedPointOperator, Provenance, make_admm_xy_split,
                         make_dr, make_gd, make_gradient_projection,
                         make_pr, make_proximal_gradient, make_proximal_point)
 from .polyhedra import Polyhedron, find_feasible_point, whole_space
 
 KINDS = ("lp", "qp", "lasso", "prox_demo")
-
-_PSD_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -149,12 +147,10 @@ def load(path):
     Q = None
     if "Q" in fields:
         Q = _floats(fields, "Q", n * n, path).reshape(n, n)
-        if np.abs(Q - Q.T).max() > _PSD_TOL * max(1.0, np.abs(Q).max()):
-            raise ValidationError("not_psd", "Q", "matrix is not symmetric")
-        eigs = np.linalg.eigvalsh(0.5 * (Q + Q.T))
-        if eigs[0] < -_PSD_TOL * max(1.0, abs(eigs[-1])):
-            raise ValidationError("not_psd", "Q",
-                                  f"negative eigenvalue {eigs[0]:.3e}")
+        try:
+            psd_eigenvalues(Q)
+        except NotPSD as exc:
+            raise ValidationError("not_psd", "Q", str(exc)) from exc
     X = None
     if m > 0:
         if "A" not in fields or "b" not in fields:

@@ -18,8 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NotPSD
-from .linalg import as_matrix
+from .linalg import as_matrix, psd_eigenvalues
 from .polyhedra import Polyhedron, project_polyhedron
 
 QUADRATIC = "quadratic"
@@ -27,8 +26,6 @@ LINEAR = "linear"
 POLYHEDRAL_INDICATOR = "polyhedral_indicator"
 L1 = "l1"
 BOX_INDICATOR = "box_indicator"
-
-_SYMMETRY_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -50,11 +47,7 @@ def quadratic(Q, c):
     n = c.shape[0]
     if Q.shape != (n, n):
         raise ValueError(f"Q has shape {Q.shape}, expected ({n}, {n})")
-    if np.abs(Q - Q.T).max(initial=0.0) > _SYMMETRY_TOL * max(1.0, np.abs(Q).max(initial=0.0)):
-        raise NotPSD("Q must be symmetric")
-    eigs = np.linalg.eigvalsh(0.5 * (Q + Q.T))
-    if eigs.size and eigs[0] < -_SYMMETRY_TOL * max(1.0, abs(eigs[-1])):
-        raise NotPSD(f"Q has negative eigenvalue {eigs[0]:.3e}")
+    psd_eigenvalues(Q)
     return PLQFunctionSpec(QUADRATIC, n, {"Q": Q, "c": c})
 
 

@@ -9,7 +9,7 @@ problem data in a way the closed forms do not capture.  Every
 certificate carries that caveat as text.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -121,12 +121,7 @@ def lp_certificate(alpha):
     cert = rates_from_K(alpha, K)
     extras = {"K_lower": float(np.sqrt((1.0 - alpha) / alpha)),
               "rho_dist_relaxed_closed_form": 1.0 - 2.0 * alpha * (1.0 - alpha)}
-    return RateCertificate(alpha=cert.alpha, K=cert.K,
-                           rho_dist=cert.rho_dist,
-                           rho_dist_relaxed=cert.rho_dist_relaxed,
-                           rho_seq=cert.rho_seq,
-                           rho_seq_relaxed=cert.rho_seq_relaxed,
-                           source="lp_certificate", extras=extras)
+    return replace(cert, source="lp_certificate", extras=extras)
 
 
 def qp_certificate(alpha, gamma, lambda_max, kappa_plus):
@@ -154,9 +149,4 @@ def qp_certificate(alpha, gamma, lambda_max, kappa_plus):
     if abs(gamma0 - 0.5) <= 1e-12:
         extras["K_compact"] = 3.0 * kappa_plus / alpha
         extras["rho_compact"] = 1.0 - alpha * (1.0 - alpha) / (18.0 * kappa_plus ** 2)
-    return RateCertificate(alpha=cert.alpha, K=cert.K,
-                           rho_dist=cert.rho_dist,
-                           rho_dist_relaxed=cert.rho_dist_relaxed,
-                           rho_seq=cert.rho_seq,
-                           rho_seq_relaxed=cert.rho_seq_relaxed,
-                           source="qp_certificate", extras=extras)
+    return replace(cert, source="qp_certificate", extras=extras)

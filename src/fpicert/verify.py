@@ -2,6 +2,10 @@
 problem or builtin example, producing a report with explicit pass/fail
 lines.
 
+LPs and QPs share one verification function, ``verify_splitting``
+(also bound as ``verify_lp`` and ``verify_qp``); ``kind_setup`` is the
+one place that knows what differs between the two kinds.
+
 Every certified value in a report names the certificate that produced
 it; every measured value names its estimator and seed and is labeled as
 sampled (a finite sample can only under-estimate a supremum).
@@ -13,17 +17,19 @@ from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
-from . import analysis, engine, problems, rates
+from . import analysis, engine, operators, problems, rates
 from .engine import STOP_RESIDUAL
 from .errors import TooShort
-from .linalg import condition_number_plus, lambda_max_psd, null_space_basis
-from .operators import run_admm_direct
+from .linalg import condition_number_plus, lambda_max_psd, row_and_null_space
 
 #: Default sweep radii for exposing the region where the error bound is
 #: in force.
 RADIUS_SWEEP = (1e-1, 1e-2, 1e-3, 1e-4)
 
 PER_STEP_SLACK = 1e-8
+
+#: Step budget of a verification run.
+MAX_ITERS = 200_000
 
 
 @dataclass
@@ -192,91 +198,64 @@ def verify_example_rotation(theta, samples=200, seed=0):
         checks=checks, runtime_seconds=time.time() - t0)
 
 
-def _run_splitting(instance, gamma, alpha, seed, start_distance=30.0,
-                   tol=1e-10, max_iters=200_000):
-    f, g = problems.split_functions(instance)
-    from .operators import make_dr
-    op, extraction = make_dr(f, g, gamma, alpha)
+@dataclass(frozen=True)
+class KindSetup:
+    """The kind-dependent parts of certifying an instance (see
+    ``kind_setup``); only ``gamma`` is set for kinds without pieces."""
+
+    gamma: float
+    pieces: callable = None
+    certificate: callable = None
+    claims: callable = None
+
+
+def kind_setup(instance, gamma=None, alpha=0.5):
+    """The one mapping from ``instance.kind`` to the default ``gamma``,
+    the piece enumerator, the closed-form certificate, and the checks and
+    report fields only that kind has (``_lp_claims``/``_qp_claims``).
+
+    ``gamma=None`` means the kind's default: 1 for an LP, and for a QP
+    the value with ``gamma * lambda_max(Q) = 1/2``.  A QP's
+    ``lambda_max`` is computed here and its ``kappa_plus`` in
+    ``certificate()``.
+    """
     if instance.kind == "lp":
-        pieces = analysis.enumerate_pieces_lp(instance.X, instance.c, gamma, alpha)
-    else:
-        pieces = analysis.enumerate_pieces_qp(instance.X, instance.Q, instance.c,
-                                              gamma, alpha)
-    fixset = analysis.fixed_point_set(pieces)
-    rng = np.random.default_rng(seed)
-    direction = rng.standard_normal(instance.dim)
-    direction /= np.linalg.norm(direction)
-    x0 = fixset.representative + start_distance * direction
-    trace = engine.iterate(op, x0, residual_tol=tol, max_iters=max_iters,
-                           fixset=fixset)
-    return op, extraction, pieces, fixset, trace
+        gamma = 1.0 if gamma is None else gamma
+        return KindSetup(
+            gamma, claims=_lp_claims,
+            pieces=lambda: analysis.enumerate_pieces_lp(instance.X, instance.c,
+                                                        gamma, alpha),
+            certificate=lambda: rates.lp_certificate(alpha))
+    if instance.kind == "qp":
+        lam_max = lambda_max_psd(instance.Q)
+        gamma = 0.5 / lam_max if gamma is None else gamma
+        return KindSetup(
+            gamma, claims=_qp_claims,
+            pieces=lambda: analysis.enumerate_pieces_qp(instance.X, instance.Q,
+                                                        instance.c, gamma, alpha),
+            certificate=lambda: rates.qp_certificate(
+                alpha, gamma, lam_max, condition_number_plus(instance.Q)))
+    return KindSetup(1.0 if gamma is None else gamma)
 
 
-def verify_lp(instance, gamma=1.0, alpha=0.5, seed=0, radius_sweep=False,
-              truth=None):
-    """Data-independent constant checks for the splitting operator on a
-    linear program."""
-    t0 = time.time()
-    op, extraction, pieces, fixset, trace = _run_splitting(instance, gamma,
-                                                           alpha, seed)
-    K = analysis.error_bound_constant(pieces, fixset)
-    cert = rates.lp_certificate(alpha)
-    meeting = [p.source_piece for p in fixset.pieces if p.source_piece is not None]
-    piece_dev = max(abs(p.hoffman_bound - 1.0 / (2.0 * alpha)) for p in meeting)
-    er = engine.estimate_rates(op, fixset,
-                               R=1e-3 * (1.0 + np.linalg.norm(trace.limit)),
-                               samples=200, seed=seed)
-    fit, fit_mode = terminal_contraction(trace)
-    steps = per_step_contraction_checks(trace, K, alpha)
-    xhat = extraction(trace.limit)
-    kkt = problems.kkt_residual(instance, xhat)
+def _lp_claims(instance, cert, fixset, K, terminal, sampled):
+    """The LP's checks, around the shared ``sampled`` one, and its extra
+    problem and certified fields.  ``terminal`` is ``(fit, fit_mode)``."""
+    fit, fit_mode = terminal
+    unit = 1.0 / (2.0 * cert.alpha)
+    piece_dev = max(abs(fp.source_piece.hoffman_bound - unit)
+                    for fp in fixset.pieces)
+    rate = cert.extras["rho_dist_relaxed_closed_form"]
     checks = [
         CheckResult("every piece meeting the fixed set has bound 1/(2 alpha)",
                     piece_dev <= 1e-9, piece_dev, 1e-9),
         CheckResult("error-bound constant equals 1/(2 alpha)",
-                    abs(K - 1.0 / (2.0 * alpha)) <= 1e-9, K,
-                    1.0 / (2.0 * alpha)),
-        CheckResult("sampled dist/residual ratio within certified constant",
-                    er.k_tilde <= K * (1.0 + 1e-6), er.k_tilde, K,
-                    f"R={er.sample_radius:.3g}, seed={er.seed}"),
+                    abs(K - unit) <= 1e-9, K, unit),
+        sampled,
         CheckResult("terminal residual contraction within relaxed rate + 0.05",
-                    fit <= cert.extras["rho_dist_relaxed_closed_form"] + 0.05,
-                    fit, cert.extras["rho_dist_relaxed_closed_form"] + 0.05,
-                    fit_mode),
-        CheckResult("per-step distance contraction where error bound holds",
-                    steps["distance_form_slack"] <= PER_STEP_SLACK,
-                    steps["distance_form_slack"], PER_STEP_SLACK,
-                    f"{steps['qualifying_steps']} qualifying steps"),
-        CheckResult("per-step sequence contraction toward the limit",
-                    steps["sequence_form_slack"] <= PER_STEP_SLACK,
-                    steps["sequence_form_slack"], PER_STEP_SLACK),
-        CheckResult("extracted point satisfies optimality conditions",
-                    kkt <= 1e-6, kkt, 1e-6),
-        CheckResult("run converged", trace.stop_reason == STOP_RESIDUAL,
-                    trace.num_steps, 200_000),
+                    fit <= rate + 0.05, fit, rate + 0.05, fit_mode),
     ]
-    if truth is not None and truth.known_optimum is not None:
-        gap = abs(instance.objective(xhat)
-                  - instance.objective(truth.known_optimum))
-        checks.append(CheckResult("objective gap against planted optimum",
-                                  gap <= 1e-6, gap, 1e-6))
-    measured = {"k_tilde": er.k_tilde, "rho_tilde": er.rho_tilde,
-                "estimator": "estimate_rates", "seed": seed,
-                "sample_radius": er.sample_radius,
-                "terminal_contraction": fit, "terminal_fit_mode": fit_mode,
-                "steps": trace.num_steps}
-    if radius_sweep:
-        measured["radius_sweep"] = _radius_sweep(op, fixset, K, seed)
-    return ExperimentReport(
-        problem={"kind": "lp", "name": instance.name, "n": instance.dim,
-                 "m": instance.X.num_rows, "seed": instance.seed},
-        algorithm={"operator": "dr", "gamma": gamma, "alpha": alpha},
-        certified={"K": K, "K_source": "error_bound_constant(pieces)",
-                   "K_closed_form": cert.K, "rho_dist": cert.rho_dist,
-                   "rho_dist_relaxed": cert.extras["rho_dist_relaxed_closed_form"],
-                   "certificate": cert.source,
-                   "valid_radius_note": cert.valid_radius_note},
-        measured=measured, checks=checks, runtime_seconds=time.time() - t0)
+    return {}, {"rho_dist": cert.rho_dist, "rho_dist_relaxed": rate}, checks
 
 
 def _null_inclusion_residual(instance, fixset):
@@ -285,7 +264,7 @@ def _null_inclusion_residual(instance, fixset):
     worst = 0.0
     for fp in fixset.pieces:
         pc = fp.source_piece
-        basis = null_space_basis(pc.M)
+        _, basis = row_and_null_space(pc.M)
         if basis.shape[1] == 0:
             continue
         worst = max(worst, float(np.abs(instance.Q @ basis).max()))
@@ -295,48 +274,65 @@ def _null_inclusion_residual(instance, fixset):
     return worst
 
 
-def verify_qp(instance, gamma=None, alpha=0.5, seed=0, radius_sweep=False,
-              truth=None):
-    """Condition-number-based checks for the splitting operator on a
-    quadratic program.  With ``gamma`` omitted it is set so that
-    ``gamma * lambda_max(Q) = 1/2``."""
-    t0 = time.time()
-    lam_max = lambda_max_psd(instance.Q)
-    kappa = condition_number_plus(instance.Q)
-    if gamma is None:
-        gamma = 0.5 / lam_max
-    gamma0 = gamma * lam_max
-    op, extraction, pieces, fixset, trace = _run_splitting(instance, gamma,
-                                                           alpha, seed)
-    K = analysis.error_bound_constant(pieces, fixset)
-    cert = rates.qp_certificate(alpha, gamma, lam_max, kappa)
-    meeting = [p.source_piece for p in fixset.pieces if p.source_piece is not None]
-    worst_piece = max(p.hoffman_bound for p in meeting)
+def _qp_claims(instance, cert, fixset, K, terminal, sampled):
+    """The QP's checks and fields, as ``_lp_claims``.  ``K`` is the
+    largest bound over the pieces meeting the fixed set, the per-piece
+    value the closed forms must dominate."""
+    fit, fit_mode = terminal
     compact_K = cert.extras.get("K_compact", np.inf)
-    compact_rho = cert.extras.get("rho_compact", cert.rho_dist_relaxed)
+    rate = cert.extras.get("rho_compact", cert.rho_dist_relaxed)
+    null_res = _null_inclusion_residual(instance, fixset)
+    checks = [
+        CheckResult("per-piece bound within closed-form certificate",
+                    K <= cert.K * (1.0 + 1e-9), K, cert.K, "certified pieces"),
+        CheckResult("per-piece bound within compact certificate",
+                    K <= compact_K * (1.0 + 1e-9), K, compact_K,
+                    "certified pieces"),
+        CheckResult("terminal residual contraction within compact rate + 0.02",
+                    fit <= rate + 0.02, fit, rate + 0.02, fit_mode),
+        CheckResult("null-space inclusion residual",
+                    null_res <= 1e-8, null_res, 1e-8),
+        sampled,
+    ]
+    problem = {"kappa_plus": cert.extras["kappa_plus"],
+               "gamma0": cert.extras["gamma0"]}
+    certified = {"K_compact": compact_K, "rho_dist_relaxed": cert.rho_dist_relaxed,
+                 "rho_compact": rate}
+    return problem, certified, checks
+
+
+def verify_splitting(instance, gamma=None, alpha=0.5, seed=0,
+                     radius_sweep=False, truth=None):
+    """Run, analyze, measure and check the Douglas-Rachford operator on
+    an LP or QP, started 30 away from the fixed-point set; ``gamma=None``
+    takes the kind's default."""
+    t0 = time.time()
+    setup = kind_setup(instance, gamma, alpha)
+    if setup.pieces is None:
+        raise ValueError("verify applies to lp/qp instances or builtins")
+    f, g = problems.split_functions(instance)
+    op, extraction = operators.make_dr(f, g, setup.gamma, alpha)
+    pieces = setup.pieces()
+    fixset = analysis.fixed_point_set(pieces)
+    direction = np.random.default_rng(seed).standard_normal(instance.dim)
+    direction /= np.linalg.norm(direction)
+    trace = engine.iterate(op, fixset.representative + 30.0 * direction,
+                           residual_tol=1e-10, max_iters=MAX_ITERS, fixset=fixset)
+    K = analysis.error_bound_constant(pieces, fixset)
+    cert = setup.certificate()
     er = engine.estimate_rates(op, fixset,
                                R=1e-3 * (1.0 + np.linalg.norm(trace.limit)),
                                samples=200, seed=seed)
     fit, fit_mode = terminal_contraction(trace)
     steps = per_step_contraction_checks(trace, K, alpha)
-    null_res = _null_inclusion_residual(instance, fixset)
     xhat = extraction(trace.limit)
     kkt = problems.kkt_residual(instance, xhat)
-    checks = [
-        CheckResult("per-piece bound within closed-form certificate",
-                    worst_piece <= cert.K * (1.0 + 1e-9), worst_piece, cert.K,
-                    "certified pieces"),
-        CheckResult("per-piece bound within compact certificate",
-                    worst_piece <= compact_K * (1.0 + 1e-9), worst_piece,
-                    compact_K, "certified pieces"),
-        CheckResult("terminal residual contraction within compact rate + 0.02",
-                    fit <= compact_rho + 0.02, fit, compact_rho + 0.02,
-                    fit_mode),
-        CheckResult("null-space inclusion residual",
-                    null_res <= 1e-8, null_res, 1e-8),
-        CheckResult("sampled dist/residual ratio within certified constant",
-                    er.k_tilde <= K * (1.0 + 1e-6), er.k_tilde, K,
-                    f"R={er.sample_radius:.3g}, seed={er.seed}"),
+    sampled = CheckResult("sampled dist/residual ratio within certified constant",
+                          er.k_tilde <= K * (1.0 + 1e-6), er.k_tilde, K,
+                          f"R={er.sample_radius:.3g}, seed={er.seed}")
+    problem_fields, certified_fields, checks = setup.claims(
+        instance, cert, fixset, K, (fit, fit_mode), sampled)
+    checks += [
         CheckResult("per-step distance contraction where error bound holds",
                     steps["distance_form_slack"] <= PER_STEP_SLACK,
                     steps["distance_form_slack"], PER_STEP_SLACK,
@@ -347,7 +343,7 @@ def verify_qp(instance, gamma=None, alpha=0.5, seed=0, radius_sweep=False,
         CheckResult("extracted point satisfies optimality conditions",
                     kkt <= 1e-6, kkt, 1e-6),
         CheckResult("run converged", trace.stop_reason == STOP_RESIDUAL,
-                    trace.num_steps, 200_000),
+                    trace.num_steps, MAX_ITERS),
     ]
     if truth is not None and truth.known_optimum is not None:
         gap = abs(instance.objective(xhat)
@@ -362,28 +358,16 @@ def verify_qp(instance, gamma=None, alpha=0.5, seed=0, radius_sweep=False,
     if radius_sweep:
         measured["radius_sweep"] = _radius_sweep(op, fixset, K, seed)
     return ExperimentReport(
-        problem={"kind": "qp", "name": instance.name, "n": instance.dim,
+        problem={"kind": instance.kind, "name": instance.name, "n": instance.dim,
                  "m": instance.X.num_rows, "seed": instance.seed,
-                 "kappa_plus": kappa, "gamma0": gamma0},
-        algorithm={"operator": "dr", "gamma": gamma, "alpha": alpha},
+                 **problem_fields},
+        algorithm={"operator": "dr", "gamma": setup.gamma, "alpha": alpha},
         certified={"K": K, "K_source": "error_bound_constant(pieces)",
-                   "K_closed_form": cert.K, "K_compact": compact_K,
-                   "rho_dist_relaxed": cert.rho_dist_relaxed,
-                   "rho_compact": compact_rho, "certificate": cert.source,
+                   "K_closed_form": cert.K, **certified_fields,
+                   "certificate": cert.source,
                    "valid_radius_note": cert.valid_radius_note},
         measured=measured, checks=checks, runtime_seconds=time.time() - t0)
 
 
-def verify_admm_equivalence(f, g, rho, w0, steps=100, tol=1e-8):
-    """Per-step agreement of the direct consensus iteration's dual trace
-    with the scaled splitting operator started from the same point."""
-    from .operators import make_admm_xy_split
-    op, _ = make_admm_xy_split(f, g, rho)
-    trace = run_admm_direct(f, g, rho, w0=w0, iters=steps)
-    w = np.asarray(w0, dtype=float)
-    worst = 0.0
-    for k in range(steps + 1):
-        worst = max(worst, float(np.linalg.norm(trace.iterates[k] - w)))
-        w = op.evaluate(w)
-    return CheckResult("direct dual iterates match scaled splitting operator",
-                       worst <= tol, worst, tol, f"{steps} steps")
+#: The former per-kind names; the kind now comes from the instance.
+verify_lp = verify_qp = verify_splitting

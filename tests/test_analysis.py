@@ -5,10 +5,10 @@ from fpicert import engine, problems, rates
 from fpicert.analysis import (distance_to_fixed_points, enumerate_pieces_lp,
                               enumerate_pieces_qp, error_bound_constant,
                               estimate_min_residual, fixed_point_set,
-                              hoffman_bound_piece, point_fixed_set)
+                              point_fixed_set)
 from fpicert.errors import EmptyFixedSet, Infeasible, NoFixedPoints, TooLarge
 from fpicert.linalg import (condition_number_plus, lambda_max_psd,
-                            null_space_basis)
+                            row_and_null_space)
 from fpicert.operators import make_dr
 from fpicert.polyhedra import Polyhedron, project_polyhedron, whole_space
 
@@ -24,8 +24,8 @@ def test_one_dimensional_lp_pieces():
     free, active = pieces
     assert np.allclose(free.M, 0.0)
     assert np.allclose(free.v, -1.0)  # -2*alpha*gamma*c
-    assert hoffman_bound_piece(free) == 0.0
-    assert hoffman_bound_piece(active) == pytest.approx(1.0)
+    assert free.hoffman_bound == 0.0
+    assert active.hoffman_bound == pytest.approx(1.0)
 
 
 def test_one_dimensional_lp_fixed_point():
@@ -270,7 +270,7 @@ def test_null_space_inclusion_on_certified_pieces():
         fs = fixed_point_set(pieces)
         for fp in fs.pieces:
             pc = fp.source_piece
-            basis = null_space_basis(pc.M)
+            _, basis = row_and_null_space(pc.M)
             if basis.shape[1] == 0:
                 continue
             assert np.abs(inst.Q @ basis).max() <= 1e-8
@@ -299,7 +299,7 @@ def test_distance_matches_dense_sampling_oracle():
         got = distance_to_fixed_points(fs, x)
         best = np.inf
         for fp in fs.pieces:
-            directions = null_space_basis(fp.basis) if fp.basis.shape[0] else None
+            directions = row_and_null_space(fp.basis)[1] if fp.basis.shape[0] else None
             center = fp.witness
             if directions is None or directions.shape[1] == 0:
                 candidates = [center]

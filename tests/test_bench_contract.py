@@ -1,0 +1,50 @@
+"""The benchmark under ``bench/`` looks fpicert's functions up by name and
+patches module attributes to trace them.  ``bench/`` is outside the test
+paths, so this guard certifies one LP and one QP exactly as the benchmark
+does, plain and traced, and compares the outcomes with its reference."""
+
+import importlib.util
+import sys
+from pathlib import Path
+
+import pytest
+
+import fpicert
+import fpicert.verify
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(f"bench_{name}",
+                                                  BENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+workloads = _load("workloads")
+tracing = _load("tracing")
+
+
+@pytest.mark.parametrize("traced", [False, True])
+@pytest.mark.parametrize("workload, name", [("lp-batch", "lp-n2-m4-s0"),
+                                            ("qp-batch", "qp-n2-m4-r1-s100")])
+def test_benchmark_certifies_like_its_reference(workload, name, traced):
+    spec = workloads.specs(workload)[0]
+    instance, truth = workloads.generate(fpicert, spec)
+    assert instance.name == name
+    if traced:
+        tracer = tracing.Tracer()
+        with tracing.patched(fpicert, tracer):
+            outcome = workloads.certify(fpicert, spec, instance, truth)
+        # spans vanish when a traced name is no longer looked up at call time
+        summary = tracing.summarize(tracer)
+        assert summary["engine.iterate.steps"][0] == outcome["steps"]
+        assert summary["operators.dr_step.calls"][0] >= outcome["steps"]
+        assert summary["analysis.enumerate.pieces"][0] > 0
+    else:
+        outcome = workloads.certify(fpicert, spec, instance, truth)
+    reference = workloads.load_reference("acceptance")[workload][name]
+    assert workloads.differences(outcome, reference) == []

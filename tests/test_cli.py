@@ -134,6 +134,23 @@ def test_verify_failure_exit_five(tmp_path):
     assert all("closed-form" in n or "compact" in n for n in failed)
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "--builtin", "lp-batch", "--gamma", "-1"],
+    ["verify", "--builtin", "lp-batch", "--gamma", "0"],
+    ["analyze", "{qp}", "--gamma", "0"],
+    ["analyze", "{lp}", "--alpha", "1.5"],
+    ["verify", "{qp}", "--alpha", "0"],
+])
+def test_invalid_flags_exit_two(argv, tiny_lp, tmp_path, capsys):
+    inst, _ = problems.generate_qp(3, 5, 2, seed=6)
+    qp = str(tmp_path / "qp.txt")
+    problems.save(inst, qp)
+    argv = [a.format(lp=tiny_lp, qp=qp) for a in argv]
+    rc = cli.main(argv + ["--out", str(tmp_path / "r.txt")])
+    assert rc == cli.EXIT_INVALID
+    assert capsys.readouterr().err.startswith("error:")
+
+
 def test_verify_radius_sweep_recorded(tiny_lp, tmp_path):
     out = str(tmp_path / "sweep.txt")
     rc = cli.main(["verify", tiny_lp, "--radius-sweep", "--out", out])

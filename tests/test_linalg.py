@@ -3,8 +3,8 @@ import pytest
 import scipy.linalg
 
 from fpicert.errors import NotPSD, ZeroMatrix
-from fpicert.linalg import (condition_number_plus, null_space_basis,
-                            pseudo_inverse, row_space_basis, spectral_summary)
+from fpicert.linalg import (condition_number_plus, pseudo_inverse,
+                            row_and_null_space, spectral_summary)
 
 
 def test_pseudo_inverse_identity():
@@ -118,8 +118,7 @@ def test_condition_number_rejects_zero():
 def test_null_and_row_space_bases():
     rng = np.random.default_rng(9)
     A = rng.standard_normal((2, 5))
-    N = null_space_basis(A)
-    R = row_space_basis(A)
+    R, N = row_and_null_space(A)
     assert N.shape == (5, 3) and R.shape == (2, 5)
     assert np.abs(A @ N).max() <= 1e-12
     assert np.allclose(R @ R.T, np.eye(2), atol=1e-12)
