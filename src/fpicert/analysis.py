@@ -35,6 +35,9 @@ ZERO_CERT_TOL = 1e-8
 #: Slack for region-membership tests.
 REGION_TOL = 1e-9
 
+#: Rows per batch in ``FixedPointSetDescription.distances``.
+DISTANCE_CHUNK = 4096
+
 
 @dataclass(frozen=True)
 class ActiveSetPiece:
@@ -86,6 +89,16 @@ class ActiveSetPiece:
                 return False
         return self.source.contains(self.face_projection(x), tol * scale)
 
+    def contains_rows(self, X, tol=REGION_TOL):
+        """``contains`` for each row of ``X``."""
+        scale = 1.0 + np.linalg.norm(X, axis=1)
+        inside = np.ones(X.shape[0], dtype=bool)
+        if self.active:
+            mult = X @ self.mult_matrix.T - self.mult_rhs
+            inside = mult.min(axis=1) >= -tol * scale
+        face = X @ self.proj_matrix.T + self.proj_offset
+        return inside & self.source.contains_rows(face, tol * scale)
+
 
 def _region_polyhedron(X, D, Ad_bJ, mult_matrix, mult_rhs):
     n = X.dim
@@ -111,7 +124,7 @@ def _enumerate_faces(X, budget_rows=MAX_ENUM_ROWS):
     seed_point = find_feasible_point(X)
     if seed_point is None:
         raise Infeasible("the constraint polyhedron is empty")
-    witnesses = [seed_point]
+    witnesses = seed_point[None, :]
     empties = []
     scale = 1.0 + float(np.abs(X.b).max(initial=0.0))
     faces = [()]
@@ -124,13 +137,13 @@ def _enumerate_faces(X, budget_rows=MAX_ENUM_ROWS):
             if np.linalg.matrix_rank(AJ.T, tol=1e-10 * max(1.0, np.abs(AJ).max())) < k:
                 continue
             bJ = X.b[list(J)]
-            hit = any(np.abs(AJ @ w - bJ).max() <= 1e-9 * scale for w in witnesses)
+            hit = (np.abs(witnesses @ AJ.T - bJ).max(axis=1) <= 1e-9 * scale).any()
             if not hit:
                 w = face_feasible_point(X, J)
                 if w is None:
                     empties.append(Jset)
                     continue
-                witnesses.append(w)
+                witnesses = np.vstack([witnesses, w])
             faces.append(J)
     return faces
 
@@ -226,6 +239,12 @@ class FixedSetPiece:
             return np.asarray(x, dtype=float)
         return x - self.basis.T @ (self.basis @ x - self.rhs)
 
+    def affine_projections(self, X):
+        """``affine_projection`` of each row of ``X``."""
+        if self.basis.shape[0] == 0:
+            return X
+        return X - (X @ self.basis.T - self.rhs) @ self.basis
+
     def distance(self, x, tol=REGION_TOL):
         """Distance from x to (affine set) intersect (region).
 
@@ -284,6 +303,37 @@ class FixedPointSetDescription:
                 best = min(best, float(np.linalg.norm(
                     x - project_polyhedron(p.poly, x))))
         return best
+
+    def distances(self, xs):
+        """``distance`` of each row of ``xs``.
+
+        Works on chunks of ``DISTANCE_CHUNK`` rows.  For every piece, the
+        affine projections of a chunk and their region tests (with the
+        tolerances of ``distance``) are computed at once.  A row whose
+        nearest affine projection lies in its region is at exactly that
+        distance, since every affine distance is a lower bound; any other
+        row goes through ``distance``.
+        """
+        xs = np.asarray(xs, dtype=float)
+        out = np.full(xs.shape[0], np.inf)
+        if not self.pieces:
+            return out
+        for start in range(0, xs.shape[0], DISTANCE_CHUNK):
+            X = xs[start:start + DISTANCE_CHUNK]
+            lower = np.empty((X.shape[0], len(self.pieces)))
+            inside = np.empty(lower.shape, dtype=bool)
+            for j, p in enumerate(self.pieces):
+                Z = p.affine_projections(X)
+                lower[:, j] = np.linalg.norm(X - Z, axis=1)
+                inside[:, j] = (p.source_piece.contains_rows(Z)
+                                if p.source_piece is not None
+                                else p.poly.contains_rows(Z))
+            rows = np.arange(X.shape[0])
+            nearest = lower.argmin(axis=1)
+            out[start:start + X.shape[0]] = lower[rows, nearest]
+            for i in np.flatnonzero(~inside[rows, nearest]):
+                out[start + i] = self.distance(X[i])
+        return out
 
 
 def point_fixed_set(x, exact=True, source="pieces"):

@@ -24,7 +24,7 @@ from . import analysis, engine, problems, rates, verify
 from .engine import STOP_RESIDUAL
 from .errors import FpicertError, ParseError, TooLarge, ValidationError
 from .operators import PrimalExtraction
-from .prox import prox
+from .prox import prox_map
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -136,7 +136,7 @@ def cmd_solve(args):
         return EXIT_INVALID
     if args.algorithm == "pr":
         f, _ = problems.split_functions(instance)
-        extraction = PrimalExtraction(lambda w: prox(f, gamma, w))
+        extraction = PrimalExtraction(prox_map(f, gamma))
         print("note: no averaged-operator guarantee for this algorithm; "
               "rate certificates do not apply", file=sys.stderr)
     rng = np.random.default_rng(args.seed)
@@ -147,7 +147,7 @@ def cmd_solve(args):
     # distances from the converged limit: an upper bound on the true
     # distance, recorded as such
     fixset = analysis.point_fixed_set(trace.limit, exact=False, source="limit")
-    trace.dist_to_fix = np.asarray([fixset.distance(z) for z in trace.iterates])
+    trace.dist_to_fix = fixset.distances(trace.iterates)
     trace.distance_source = "limit"
     solution = extraction(trace.limit) if extraction is not None else trace.limit
 

@@ -3,9 +3,11 @@
 The engine is agnostic about where operators come from: anything with
 ``evaluate``, ``dimension`` and ``alpha`` attributes can be iterated.
 Distances to the fixed-point set are supplied by a fixed-set description
-object exposing ``distance(x)`` (see :mod:`fpicert.analysis`).
+object exposing ``distance(x)`` for one point and ``distances(xs)`` for
+the rows of an array (see :mod:`fpicert.analysis`).
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -45,34 +47,40 @@ def iterate(F, x0, residual_tol=1e-10, max_iters=200_000, fixset=None):
 
     Raises ``NonFinite`` if an iterate leaves the floating-point range,
     which signals a bug in the operator rather than expected behavior.
+    The iterates are stored as rows of one array that doubles when full.
     """
     if residual_tol <= 0:
         raise ValueError("residual_tol must be positive")
     x = np.asarray(x0, dtype=float).copy()
     if x.shape != (F.dimension,):
         raise ValueError(f"x0 has shape {x.shape}, expected ({F.dimension},)")
-    iterates = [x.copy()]
+    iterates = np.empty((64, x.shape[0]))
+    iterates[0] = x
     residuals = []
     stop = STOP_MAX_ITERS
-    for _ in range(max_iters):
-        x_next = F.evaluate(x)
-        if not np.all(np.isfinite(x_next)):
+    for k in range(1, max_iters + 1):
+        x_next = np.asarray(F.evaluate(x), dtype=float)
+        step = x_next - x
+        # norm of a 1-d array, as np.linalg.norm computes it
+        r = math.sqrt(step @ step)
+        if not math.isfinite(r) and not np.all(np.isfinite(x_next)):
             raise NonFinite("iterate left the finite range")
-        r = float(np.linalg.norm(x_next - x))
         residuals.append(r)
-        iterates.append(np.asarray(x_next, dtype=float).copy())
+        if k == iterates.shape[0]:
+            iterates = np.concatenate([iterates, np.empty_like(iterates)])
+        iterates[k] = x_next
         x = x_next
         if r <= residual_tol:
             stop = STOP_RESIDUAL
             break
     trace = IterationTrace(
-        iterates=np.asarray(iterates),
+        iterates=iterates[:len(residuals) + 1],
         residuals=np.asarray(residuals),
         limit=x.copy(),
         stop_reason=stop,
     )
     if fixset is not None:
-        trace.dist_to_fix = np.asarray([fixset.distance(z) for z in trace.iterates])
+        trace.dist_to_fix = fixset.distances(trace.iterates)
         trace.distance_source = getattr(fixset, "source", "pieces")
     return trace
 

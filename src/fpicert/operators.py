@@ -15,8 +15,10 @@ import numpy as np
 from .engine import IterationTrace, STOP_MAX_ITERS
 from .errors import SingularSubproblem, StepTooLarge
 from .linalg import lambda_max_psd
-from .prox import QUADRATIC, prox
-from .polyhedra import Polyhedron, project_polyhedron
+# prox and project_polyhedron are not called here; they stay importable
+# because bench/tracing.py patches them at this module
+from .prox import QUADRATIC, prox, prox_map
+from .polyhedra import Polyhedron, Projector, project_polyhedron
 
 
 @dataclass(frozen=True)
@@ -108,7 +110,7 @@ def make_proximal_point(f, gamma):
     return FixedPointOperator(
         dimension=f.dimension,
         alpha=0.5,
-        evaluate=lambda x: prox(f, gamma, x),
+        evaluate=prox_map(f, gamma),
         provenance=prov,
     )
 
@@ -122,10 +124,11 @@ def make_gradient_projection(f, S, lam):
         raise ValueError("S and f live in different spaces")
     alpha = compose_alpha(_gd_alpha(lam, lambda_max_psd(Q)), 0.5)
     prov = Provenance("gp", {"lambda": lam}, {"f": f, "S": S})
+    project = Projector(S)
     return FixedPointOperator(
         dimension=f.dimension,
         alpha=alpha,
-        evaluate=lambda x: project_polyhedron(S, x - lam * (Q @ x + c)),
+        evaluate=lambda x: project(x - lam * (Q @ x + c)),
         provenance=prov,
     )
 
@@ -137,20 +140,23 @@ def make_proximal_gradient(f, g, lam, gamma):
         raise ValueError("f and g live in different spaces")
     alpha = compose_alpha(_gd_alpha(lam, lambda_max_psd(Q)), 0.5)
     prov = Provenance("pg", {"lambda": lam, "gamma": gamma}, {"f": f, "g": g})
+    prox_g = prox_map(g, gamma)
     return FixedPointOperator(
         dimension=f.dimension,
         alpha=alpha,
-        evaluate=lambda x: prox(g, gamma, x - lam * (Q @ x + c)),
+        evaluate=lambda x: prox_g(x - lam * (Q @ x + c)),
         provenance=prov,
     )
 
 
 def _dr_evaluate(f, g, gamma, alpha):
     two_alpha = 2.0 * alpha
+    prox_f = prox_map(f, gamma)
+    prox_g = prox_map(g, gamma)
 
     def evaluate(w):
-        p = prox(f, gamma, w)
-        q = prox(g, gamma, 2.0 * p - w)
+        p = prox_f(w)
+        q = prox_g(2.0 * p - w)
         return w + two_alpha * (q - p)
 
     return evaluate
@@ -173,7 +179,7 @@ def make_dr(f, g, gamma, alpha):
         evaluate=_dr_evaluate(f, g, gamma, alpha),
         provenance=prov,
     )
-    return op, PrimalExtraction(lambda w: prox(f, gamma, w))
+    return op, PrimalExtraction(prox_map(f, gamma))
 
 
 def make_pr(f, g, gamma):
@@ -199,6 +205,7 @@ def make_admm_xy_split(f, g, rho):
     if rho <= 0:
         raise ValueError("rho must be positive")
     dr_eval = _dr_evaluate(f, g, rho, 0.5)
+    prox_f = prox_map(f, rho)
     prov = Provenance("admm", {"rho": rho}, {"f": f, "g": g})
     op = FixedPointOperator(
         dimension=f.dimension,
@@ -206,7 +213,7 @@ def make_admm_xy_split(f, g, rho):
         evaluate=lambda w: dr_eval(rho * w) / rho,
         provenance=prov,
     )
-    return op, PrimalExtraction(lambda w: prox(f, rho, rho * w))
+    return op, PrimalExtraction(lambda w: prox_f(rho * w))
 
 
 def run_admm_direct(f, g, rho, y0=None, w0=None, iters=100):
@@ -231,18 +238,17 @@ def run_admm_direct(f, g, rho, y0=None, w0=None, iters=100):
     n = f.dimension
     w0 = np.zeros(n) if w0 is None else np.asarray(w0, dtype=float)
     try:
-        x = prox(f, rho, rho * w0) if y0 is None else np.asarray(y0, dtype=float).copy()
+        prox_f = prox_map(f, rho)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - rho*Q+I is SPD
         raise SingularSubproblem(str(exc)) from exc
+    prox_g = prox_map(g, rho)
+    x = prox_f(rho * w0) if y0 is None else np.asarray(y0, dtype=float).copy()
     u = x - rho * w0
     xs, ys, ws = [x.copy()], [x.copy()], [w0.copy()]
     residuals = []
     for _ in range(iters):
-        y = prox(g, rho, x + u)
-        try:
-            x = prox(f, rho, y - u)
-        except np.linalg.LinAlgError as exc:  # pragma: no cover
-            raise SingularSubproblem(str(exc)) from exc
+        y = prox_g(x + u)
+        x = prox_f(y - u)
         u = u + x - y
         w = (x - u) / rho
         residuals.append(float(np.linalg.norm(w - ws[-1])))

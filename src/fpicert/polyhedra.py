@@ -13,8 +13,13 @@ Two projection routes are provided and kept deliberately independent:
 * ``active_set`` solves the dual of the projection problem with a
   Lawson-Hanson style active-set loop on the multipliers.  Polynomial in
   practice and the default everywhere.
+
+A :class:`Projector` is the repeated-call form of ``active_set``: it
+tries the last certified active set first and accepts the result only
+if it passes the same KKT test, falling back to the cold loop otherwise.
 """
 
+import math
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -60,6 +65,12 @@ class Polyhedron:
         if self.num_rows == 0:
             return True
         return bool(np.all(self.A @ x <= self.b + tol))
+
+    def contains_rows(self, X, tol=KKT_TOL):
+        """``contains`` for each row of ``X``; ``tol`` is a number or one
+        number per row."""
+        slack = self.b + np.asarray(tol, dtype=float)[..., None]
+        return np.all(X @ self.A.T <= slack, axis=1)
 
     def violation(self, x):
         if self.num_rows == 0:
@@ -164,6 +175,66 @@ def project_with_certificate(poly, u, method="active_set", tol=KKT_TOL):
     if method == "brute_force":
         return _project_brute_force(poly, u, tol)
     raise ValueError(f"unknown projection method {method!r}")
+
+
+class Projector:
+    """Warm-started Euclidean projection onto one polyhedron.
+
+    Keeps the active set J of the last cold projection, with the rows
+    ``A_J``, ``b_J`` and ``G = inv(A_J A_J^T)``.  A call first tries the
+    projection onto the face ``{A_J x = b_J}``,
+
+        x = u - A_J^T lam,    lam = G A_J u - G b_J,
+
+    and returns it only if it passes the termination test of the cold
+    active-set loop: no row violated by more than ``tol * scale``, the
+    rows of J tight to the same tolerance, and every multiplier
+    ``>= -tol``.  Otherwise it runs the cold loop and caches the active
+    set of that result.  ``hits`` and ``misses`` count the two outcomes.
+    """
+
+    def __init__(self, poly, tol=KKT_TOL):
+        self.poly = poly
+        self.tol = tol
+        self.hits = 0
+        self.misses = 0
+        self._bmax = float(np.abs(poly.b).max(initial=0.0))
+        self._cache(())
+
+    def _cache(self, active):
+        J = list(active)
+        AJ, bJ = self.poly.A[J], self.poly.b[J]
+        try:
+            gram_inv = np.linalg.inv(AJ @ AJ.T)
+        except np.linalg.LinAlgError:  # numerically dependent rows: no warm face
+            return self._cache(())
+        self.active = tuple(J)
+        self._AJ_T = AJ.T
+        self._mult_matrix = gram_inv @ AJ
+        self._mult_rhs = gram_inv @ bJ
+        # rows of A x <= b followed by -A_J x <= -b_J: one product tests
+        # feasibility and the tightness of J
+        self._C = np.vstack([self.poly.A, -AJ])
+        self._d = np.concatenate([self.poly.b, -bJ])
+
+    def __call__(self, u):
+        u = np.asarray(u, dtype=float)
+        if u.shape != (self.poly.dim,):
+            raise ValueError(f"point has shape {u.shape}, expected ({self.poly.dim},)")
+        tol = self.tol
+        scale = 1.0 + math.sqrt(u @ u) + self._bmax  # as in _project_active_set
+        lam = self._mult_matrix @ u - self._mult_rhs
+        x = u - self._AJ_T @ lam
+        slack = self._C @ x - self._d
+        # plain floats: on these short vectors a list max beats a ufunc reduce
+        if (max(slack.tolist(), default=0.0) <= tol * scale
+                and min(lam.tolist(), default=0.0) >= -tol):
+            self.hits += 1
+            return x
+        self.misses += 1
+        res = _project_active_set(self.poly, u, tol)
+        self._cache(res.active)
+        return res.point
 
 
 def _candidate(poly, J, u):

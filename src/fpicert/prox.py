@@ -1,17 +1,25 @@
 """Closed-form proximal and reflector operators for the shipped
 piecewise linear-quadratic function classes.
 
-A function is described by a :class:`PLQFunctionSpec`; the supported
-kinds and their scaled proximal maps ``prox(f, gamma, x)`` (the unique
-minimizer of ``gamma*f(u) + 0.5*||u - x||^2``) are
+A function is described by a :class:`PLQFunctionSpec`.  Its scaled
+proximal map at ``gamma`` (``x`` to the unique minimizer of
+``gamma*f(u) + 0.5*||u - x||^2``) is prepared once by
+``prox_map(f, gamma)``, which does every step that depends on ``f`` and
+``gamma`` alone; the returned callable does only the per-point work:
 
 ==========================  =================================================
-quadratic  0.5 x'Qx + c'x   solve ``(gamma*Q + I) u = x - gamma*c``
-linear     c'x              ``x - gamma*c``
-polyhedral indicator        Euclidean projection onto ``{x : A x <= b}``
+kind                        prepared once / per point
+==========================  =================================================
+quadratic  0.5 x'Qx + c'x   ``W = inv(gamma*Q + I)``, ``W gamma c`` /
+                            ``W x - W gamma c``
+linear     c'x              ``gamma*c`` / ``x - gamma*c``
+polyhedral indicator        a warm-started :class:`~fpicert.polyhedra.Projector`
+                            onto ``{x : A x <= b}``
 weighted l1                 soft-thresholding at ``gamma*weight``
 box indicator               componentwise clamp to ``[lo, hi]``
 ==========================  =================================================
+
+``prox(f, gamma, x)`` is the one-shot form ``prox_map(f, gamma)(x)``.
 """
 
 from dataclasses import dataclass, field
@@ -19,7 +27,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .linalg import as_matrix, psd_eigenvalues
-from .polyhedra import Polyhedron, project_polyhedron
+# project_polyhedron is not called here; it stays importable because
+# bench/tracing.py patches it at this module
+from .polyhedra import Polyhedron, Projector, project_polyhedron
 
 QUADRATIC = "quadratic"
 LINEAR = "linear"
@@ -101,35 +111,57 @@ def function_value(f, x):
     raise ValueError(f"unknown kind {f.kind!r}")
 
 
-def prox(f, gamma, x, method="active_set"):
-    """Scaled proximal map: the minimizer of ``gamma*f(u) + 0.5||u - x||^2``.
-
-    ``method`` is forwarded to the polyhedral projection when ``f`` is a
-    polyhedral indicator.
-    """
+def prox_map(f, gamma):
+    """The scaled proximal map ``x -> argmin gamma*f(u) + 0.5||u - x||^2``,
+    with everything that depends on ``f`` and ``gamma`` alone computed
+    here, once.  The map of a polyhedral indicator is stateful: it keeps
+    the last active set as a warm start (see ``Projector``)."""
     if gamma <= 0:
         raise ValueError("gamma must be positive")
-    x = np.asarray(x, dtype=float)
-    if x.shape != (f.dimension,):
-        raise ValueError(f"point has shape {x.shape}, expected ({f.dimension},)")
+    n = f.dimension
     if f.kind == QUADRATIC:
-        Q, c = f.data["Q"], f.data["c"]
-        return np.linalg.solve(gamma * Q + np.eye(f.dimension), x - gamma * c)
-    if f.kind == LINEAR:
-        return x - gamma * f.data["c"]
-    if f.kind == POLYHEDRAL_INDICATOR:
-        return project_polyhedron(f.data["poly"], x, method=method)
-    if f.kind == L1:
+        W = np.linalg.solve(gamma * f.data["Q"] + np.eye(n), np.eye(n))
+        Wgc = W @ (gamma * f.data["c"])
+
+        def body(x):
+            return W @ x - Wgc
+    elif f.kind == LINEAR:
+        gc = gamma * f.data["c"]
+
+        def body(x):
+            return x - gc
+    elif f.kind == POLYHEDRAL_INDICATOR:
+        body = Projector(f.data["poly"])
+    elif f.kind == L1:
         t = gamma * f.data["weight"]
-        return np.sign(x) * np.maximum(np.abs(x) - t, 0.0)
-    if f.kind == BOX_INDICATOR:
-        return np.clip(x, f.data["lo"], f.data["hi"])
-    raise ValueError(f"unknown kind {f.kind!r}")
+
+        def body(x):
+            return np.sign(x) * np.maximum(np.abs(x) - t, 0.0)
+    elif f.kind == BOX_INDICATOR:
+        lo, hi = f.data["lo"], f.data["hi"]
+
+        def body(x):
+            return np.clip(x, lo, hi)
+    else:
+        raise ValueError(f"unknown kind {f.kind!r}")
+
+    def mapped(x):
+        x = np.asarray(x, dtype=float)
+        if x.shape != (n,):
+            raise ValueError(f"point has shape {x.shape}, expected ({n},)")
+        return body(x)
+
+    return mapped
 
 
-def reflect(f, gamma, x, method="active_set"):
+def prox(f, gamma, x):
+    """Scaled proximal map at one point: ``prox_map(f, gamma)(x)``."""
+    return prox_map(f, gamma)(x)
+
+
+def reflect(f, gamma, x):
     """Reflector ``2 prox(f, gamma, x) - x``; nonexpansive for every kind."""
-    return 2.0 * prox(f, gamma, x, method=method) - x
+    return 2.0 * prox(f, gamma, x) - x
 
 
 def moreau_residual(f, f_conj, gamma, x):

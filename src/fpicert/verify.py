@@ -111,27 +111,18 @@ def per_step_contraction_checks(trace, K, alpha):
     cert = rates.rates_from_K(alpha, K)
     d = trace.dist_to_fix
     r = trace.residuals
-    qualifying = [k for k in range(len(r))
-                  if d[k] <= K * r[k] * (1.0 + 1e-9) + 1e-12]
-    dist_slack = 0.0
-    for k in qualifying:
-        dist_slack = max(dist_slack, d[k + 1] - cert.rho_dist * d[k])
+    steps = len(r)
+    qualifying = d[:steps] <= K * r * (1.0 + 1e-9) + 1e-12
+    dist_slack = (d[1:] - cert.rho_dist * d[:steps])[qualifying].max(initial=0.0)
     # sequence form needs the error bound to hold from some index onward
-    qualifying_set = set(qualifying)
-    k0 = len(r)
-    for k in reversed(range(len(r))):
-        if k in qualifying_set:
-            k0 = k
-        else:
-            break
-    seq_slack = 0.0
-    xbar = trace.limit
-    norms = np.linalg.norm(trace.iterates - xbar, axis=1)
-    for k in range(k0, len(r)):
-        seq_slack = max(seq_slack, norms[k + 1] - cert.rho_seq * norms[k])
+    failing = np.flatnonzero(~qualifying)
+    k0 = int(failing[-1]) + 1 if failing.size else 0
+    norms = np.linalg.norm(trace.iterates - trace.limit, axis=1)
+    seq_slack = (norms[k0 + 1:] - cert.rho_seq * norms[k0:steps]).max(initial=0.0)
     return {"rho_dist": cert.rho_dist, "rho_seq": cert.rho_seq,
-            "distance_form_slack": dist_slack, "sequence_form_slack": seq_slack,
-            "qualifying_steps": len(qualifying), "sequence_from": k0}
+            "distance_form_slack": float(dist_slack),
+            "sequence_form_slack": float(seq_slack),
+            "qualifying_steps": int(qualifying.sum()), "sequence_from": k0}
 
 
 def _radius_sweep(op, fixset, K, seed, samples=150):

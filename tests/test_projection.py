@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from fpicert.errors import Infeasible
-from fpicert.polyhedra import (Polyhedron, affine_rows, face_feasible_point,
-                               find_feasible_point, intersect, is_empty,
-                               project_polyhedron, project_with_certificate,
-                               whole_space)
+from fpicert.polyhedra import (Polyhedron, Projector, affine_rows,
+                               face_feasible_point, find_feasible_point,
+                               intersect, is_empty, project_polyhedron,
+                               project_with_certificate, whole_space)
 
 
 def _random_nonempty(rng, n, m):
@@ -111,3 +111,59 @@ def test_face_feasible_point():
     # face of an unreachable equality is empty
     Y = Polyhedron(np.array([[1.0, 0.0], [1.0, 0.0]]), np.array([1.0, 2.0]))
     assert face_feasible_point(Y, [1]) is None
+
+
+def _degenerate_polyhedron(rng, kind):
+    """A random polyhedron around a feasible point with paired equality
+    rows, a duplicated row or a near-parallel row."""
+    n = int(rng.integers(2, 5))
+    m = int(rng.integers(3, 6))
+    x0 = rng.standard_normal(n)
+    A = rng.standard_normal((m, n))
+    b = A @ x0 + rng.uniform(0.1, 1.0, size=m)
+    if kind == "paired":
+        e = rng.standard_normal((1, n))
+        return intersect(Polyhedron(A, b), affine_rows(e, e @ x0)), x0
+    if kind == "duplicate":
+        return Polyhedron(np.vstack([A, A[:1]]), np.concatenate([b, b[:1]])), x0
+    a = A[0] + 1e-6 * rng.standard_normal(n)
+    return Polyhedron(np.vstack([A, a]), np.concatenate([b, [b[0] + 1e-7]])), x0
+
+
+def test_warm_projector_agrees_with_cold_and_brute_force():
+    rng = np.random.default_rng(11)
+    hits = misses = 0
+    for kind in ("paired", "duplicate", "near_parallel") * 3:
+        X, x0 = _degenerate_polyhedron(rng, kind)
+        project = Projector(X)
+        u = x0 + 3 * rng.standard_normal(X.dim)
+        for step in range(20):
+            if step % 5 == 4:  # a jump: the cached face goes stale
+                u = x0 + 3 * rng.standard_normal(X.dim)
+            else:              # a short walk: the cached face still fits
+                u = u + 1e-3 * rng.standard_normal(X.dim)
+            warm = project(u)
+            for method in ("active_set", "brute_force"):
+                cold = project_polyhedron(X, u, method=method)
+                assert np.abs(warm - cold).max() <= 1e-9
+        hits += project.hits
+        misses += project.misses
+    assert hits > 0 and misses > 0
+
+
+def test_projector_falls_back_on_a_stale_face():
+    # the unit box [-1, 1]^2: rows x1 <= 1, x2 <= 1, -x1 <= 1, -x2 <= 1
+    X = Polyhedron(np.vstack([np.eye(2), -np.eye(2)]), np.ones(4))
+    project = Projector(X)
+    assert np.allclose(project(np.array([2.0, 0.5])), [1.0, 0.5])
+    assert (project.hits, project.misses, project.active) == (0, 1, (0,))
+    assert np.allclose(project(np.array([3.0, -0.2])), [1.0, -0.2])
+    assert (project.hits, project.misses) == (1, 1)
+    # the cached face x1 = 1 now has a negative multiplier: fall back
+    assert np.allclose(project(np.array([0.2, 0.3])), [0.2, 0.3])
+    assert (project.hits, project.misses, project.active) == (1, 2, ())
+    # the empty face leaves a row violated: fall back again
+    assert np.allclose(project(np.array([0.5, 4.0])), [0.5, 1.0])
+    assert (project.hits, project.misses, project.active) == (1, 3, (1,))
+    with pytest.raises(ValueError):
+        project(np.zeros(3))
