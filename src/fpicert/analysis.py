@@ -75,29 +75,17 @@ class ActiveSetPiece:
     def residual(self, x):
         return self.M @ x - self.v
 
-    def face_projection(self, x):
-        return self.proj_matrix @ x + self.proj_offset
-
-    def multipliers(self, x):
-        return self.mult_matrix @ x - self.mult_rhs
-
     def contains(self, x, tol=REGION_TOL):
+        """Region membership of one point or of each row of a 2-D ``x``:
+        face multipliers ``>= -tol * scale`` and the face projection in
+        ``source`` within the same slack, ``scale = 1 + ||x||``."""
         x = np.asarray(x, dtype=float)
-        scale = 1.0 + float(np.linalg.norm(x))
+        slack = tol * (1.0 + np.sqrt(np.square(x).sum(axis=-1)))
+        inside = self.source.contains(x @ self.proj_matrix.T + self.proj_offset, slack)
         if self.active:
-            if self.multipliers(x).min() < -tol * scale:
-                return False
-        return self.source.contains(self.face_projection(x), tol * scale)
-
-    def contains_rows(self, X, tol=REGION_TOL):
-        """``contains`` for each row of ``X``."""
-        scale = 1.0 + np.linalg.norm(X, axis=1)
-        inside = np.ones(X.shape[0], dtype=bool)
-        if self.active:
-            mult = X @ self.mult_matrix.T - self.mult_rhs
-            inside = mult.min(axis=1) >= -tol * scale
-        face = X @ self.proj_matrix.T + self.proj_offset
-        return inside & self.source.contains_rows(face, tol * scale)
+            mult = x @ self.mult_matrix.T - self.mult_rhs
+            inside &= mult.min(axis=-1) >= -slack
+        return inside
 
 
 def _region_polyhedron(X, D, Ad_bJ, mult_matrix, mult_rhs):
@@ -235,17 +223,21 @@ class FixedSetPiece:
     source_piece: ActiveSetPiece | None = None
 
     def affine_projection(self, x):
+        """Projection onto ``{x : B x = e}`` of one point or of each row
+        of a 2-D ``x``."""
+        x = np.asarray(x, dtype=float)
         if self.basis.shape[0] == 0:
-            return np.asarray(x, dtype=float)
-        return x - self.basis.T @ (self.basis @ x - self.rhs)
+            return x
+        return x - (x @ self.basis.T - self.rhs) @ self.basis
 
-    def affine_projections(self, X):
-        """``affine_projection`` of each row of ``X``."""
-        if self.basis.shape[0] == 0:
-            return X
-        return X - (X @ self.basis.T - self.rhs) @ self.basis
+    def region_contains(self, z):
+        """Whether ``z`` (one point, or each row) lies in this piece's
+        region: the source piece's test, or ``poly``'s without one."""
+        if self.source_piece is not None:
+            return self.source_piece.contains(z)
+        return self.poly.contains(z)
 
-    def distance(self, x, tol=REGION_TOL):
+    def distance(self, x):
         """Distance from x to (affine set) intersect (region).
 
         The affine projection is exact whenever it lands inside the
@@ -254,10 +246,7 @@ class FixedSetPiece:
         """
         x = np.asarray(x, dtype=float)
         z = self.affine_projection(x)
-        inside = (self.source_piece.contains(z, tol)
-                  if self.source_piece is not None
-                  else self.poly.contains(z, tol))
-        if inside:
+        if self.region_contains(z):
             return float(np.linalg.norm(x - z))
         return float(np.linalg.norm(x - project_polyhedron(self.poly, x)))
 
@@ -295,9 +284,7 @@ class FixedPointSetDescription:
         for lower, z, p in lowers:
             if lower >= best:
                 break
-            inside = (p.source_piece.contains(z)
-                      if p.source_piece is not None else p.poly.contains(z))
-            if inside:
+            if p.region_contains(z):
                 best = min(best, lower)
             else:
                 best = min(best, float(np.linalg.norm(
@@ -308,11 +295,11 @@ class FixedPointSetDescription:
         """``distance`` of each row of ``xs``.
 
         Works on chunks of ``DISTANCE_CHUNK`` rows.  For every piece, the
-        affine projections of a chunk and their region tests (with the
-        tolerances of ``distance``) are computed at once.  A row whose
-        nearest affine projection lies in its region is at exactly that
-        distance, since every affine distance is a lower bound; any other
-        row goes through ``distance``.
+        affine projections of a chunk and their region tests are computed
+        at once, by the same methods ``distance`` calls on one point.
+        A row whose nearest affine projection lies in its region is at
+        exactly that distance, since every affine distance is a lower
+        bound; any other row goes through ``distance``.
         """
         xs = np.asarray(xs, dtype=float)
         out = np.full(xs.shape[0], np.inf)
@@ -323,11 +310,9 @@ class FixedPointSetDescription:
             lower = np.empty((X.shape[0], len(self.pieces)))
             inside = np.empty(lower.shape, dtype=bool)
             for j, p in enumerate(self.pieces):
-                Z = p.affine_projections(X)
+                Z = p.affine_projection(X)
                 lower[:, j] = np.linalg.norm(X - Z, axis=1)
-                inside[:, j] = (p.source_piece.contains_rows(Z)
-                                if p.source_piece is not None
-                                else p.poly.contains_rows(Z))
+                inside[:, j] = p.region_contains(Z)
             rows = np.arange(X.shape[0])
             nearest = lower.argmin(axis=1)
             out[start:start + X.shape[0]] = lower[rows, nearest]

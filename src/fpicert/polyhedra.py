@@ -16,7 +16,8 @@ Two projection routes are provided and kept deliberately independent:
 
 A :class:`Projector` is the repeated-call form of ``active_set``: it
 tries the last certified active set first and accepts the result only
-if it passes the same KKT test, falling back to the cold loop otherwise.
+if it is feasible within the cold loop's slack and its multipliers are
+nonnegative, falling back to the cold loop otherwise.
 """
 
 import math
@@ -62,15 +63,10 @@ class Polyhedron:
         return self.A.shape[1]
 
     def contains(self, x, tol=KKT_TOL):
-        if self.num_rows == 0:
-            return True
-        return bool(np.all(self.A @ x <= self.b + tol))
-
-    def contains_rows(self, X, tol=KKT_TOL):
-        """``contains`` for each row of ``X``; ``tol`` is a number or one
-        number per row."""
-        slack = self.b + np.asarray(tol, dtype=float)[..., None]
-        return np.all(X @ self.A.T <= slack, axis=1)
+        """Whether ``A x <= b + tol``, for one point or for each row of a
+        2-D ``x``; ``tol`` is a number or one number per row."""
+        excess = np.asarray(x, dtype=float) @ self.A.T - self.b
+        return excess.max(axis=-1, initial=-np.inf) <= tol
 
     def violation(self, x):
         if self.num_rows == 0:
@@ -186,16 +182,16 @@ class Projector:
 
         x = u - A_J^T lam,    lam = G A_J u - G b_J,
 
-    and returns it only if it passes the termination test of the cold
-    active-set loop: no row violated by more than ``tol * scale``, the
-    rows of J tight to the same tolerance, and every multiplier
-    ``>= -tol``.  Otherwise it runs the cold loop and caches the active
-    set of that result.  ``hits`` and ``misses`` count the two outcomes.
+    and returns it only if it is KKT-certified: no row violated by more
+    than ``KKT_TOL * scale`` (the cold loop's feasibility slack), the
+    rows of J tight to the same slack, and every multiplier ``>= 0``
+    exactly (the cold loop lets a working multiplier end at ``-KKT_TOL``).
+    Otherwise it runs the cold loop and caches the active set of that
+    result.  ``hits`` and ``misses`` count the two outcomes.
     """
 
-    def __init__(self, poly, tol=KKT_TOL):
+    def __init__(self, poly):
         self.poly = poly
-        self.tol = tol
         self.hits = 0
         self.misses = 0
         self._bmax = float(np.abs(poly.b).max(initial=0.0))
@@ -221,18 +217,17 @@ class Projector:
         u = np.asarray(u, dtype=float)
         if u.shape != (self.poly.dim,):
             raise ValueError(f"point has shape {u.shape}, expected ({self.poly.dim},)")
-        tol = self.tol
         scale = 1.0 + math.sqrt(u @ u) + self._bmax  # as in _project_active_set
         lam = self._mult_matrix @ u - self._mult_rhs
         x = u - self._AJ_T @ lam
         slack = self._C @ x - self._d
         # plain floats: on these short vectors a list max beats a ufunc reduce
-        if (max(slack.tolist(), default=0.0) <= tol * scale
-                and min(lam.tolist(), default=0.0) >= -tol):
+        if (max(slack.tolist(), default=0.0) <= KKT_TOL * scale
+                and min(lam.tolist(), default=0.0) >= 0.0):
             self.hits += 1
             return x
         self.misses += 1
-        res = _project_active_set(self.poly, u, tol)
+        res = _project_active_set(self.poly, u, KKT_TOL)
         self._cache(res.active)
         return res.point
 

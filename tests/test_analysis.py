@@ -161,6 +161,20 @@ def test_regions_cover_space_and_agree_on_overlaps():
             assert np.linalg.norm(v - vals[0]) <= 1e-8
 
 
+def test_region_tests_take_one_point_or_one_per_row():
+    inst, _ = problems.generate_lp(3, 6, seed=7)
+    pieces = enumerate_pieces_lp(inst.X, inst.c, 1.0, 0.5)
+    rng = np.random.default_rng(8)
+    xs = 4 * rng.standard_normal((100, 3))
+    for p in pieces:
+        assert p.contains(xs).tolist() == [bool(p.contains(x)) for x in xs]
+    tols = rng.uniform(0.0, 2.0, size=100)
+    rows = inst.X.contains(xs, tols)
+    assert rows.tolist() == [bool(inst.X.contains(x, t)) for x, t in zip(xs, tols)]
+    assert 0 < rows.sum() < 100
+    assert whole_space(3).contains(xs).all() and whole_space(3).contains(xs[0])
+
+
 def test_boundary_points_shared_by_parent_and_child_pieces():
     # drop one active multiplier to zero: the point lies in both regions
     inst, _ = problems.generate_lp(3, 6, seed=9)

@@ -159,11 +159,17 @@ def test_projector_falls_back_on_a_stale_face():
     assert (project.hits, project.misses, project.active) == (0, 1, (0,))
     assert np.allclose(project(np.array([3.0, -0.2])), [1.0, -0.2])
     assert (project.hits, project.misses) == (1, 1)
+    # a multiplier of -1e-10 is within the cold loop's slack but not >= 0:
+    # fall back, and return the point itself instead of the face point
+    u = np.array([1.0 - 1e-10, 0.3])
+    assert np.array_equal(project(u), u)
+    assert (project.hits, project.misses, project.active) == (1, 2, ())
+    project(np.array([2.0, 0.5]))  # caches the face x1 = 1 again
     # the cached face x1 = 1 now has a negative multiplier: fall back
     assert np.allclose(project(np.array([0.2, 0.3])), [0.2, 0.3])
-    assert (project.hits, project.misses, project.active) == (1, 2, ())
+    assert (project.hits, project.misses, project.active) == (1, 4, ())
     # the empty face leaves a row violated: fall back again
     assert np.allclose(project(np.array([0.5, 4.0])), [0.5, 1.0])
-    assert (project.hits, project.misses, project.active) == (1, 3, (1,))
+    assert (project.hits, project.misses, project.active) == (1, 5, (1,))
     with pytest.raises(ValueError):
         project(np.zeros(3))
