@@ -16,14 +16,15 @@ scale: the row count is capped); ``enumerate_pieces_lp`` and
 kind on each face.  The remaining functions consume the pieces.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import cached_property
 from itertools import combinations
 
 import numpy as np
 
 from .errors import EmptyFixedSet, Infeasible, NoFixedPoints, TooLarge
 from .linalg import row_and_null_space, spectral_summary
-from .polyhedra import (Polyhedron, affine_rows, face_feasible_point,
+from .polyhedra import (Polyhedron, Projector, affine_rows, face_feasible_point,
                         find_feasible_point, intersect, project_polyhedron)
 
 #: Hard cap on constraint rows for active-set enumeration.
@@ -38,6 +39,9 @@ REGION_TOL = 1e-9
 #: Rows per batch in ``FixedPointSetDescription.distances``.
 DISTANCE_CHUNK = 4096
 
+#: Row sets per stacked solve in ``_basic_points``.
+BASIS_CHUNK = 2048
+
 
 @dataclass(frozen=True)
 class ActiveSetPiece:
@@ -45,19 +49,18 @@ class ActiveSetPiece:
     region of points whose projection onto X lands on the face with
     active set ``active``.
 
-    ``region`` is the explicit inequality description of that region;
-    membership is equivalently certified by nonnegative face multipliers
-    plus feasibility of the face projection, which is what ``contains``
-    evaluates.  ``hoffman_bound`` is ``1 / sigma_min_plus(M)``, an upper
-    bound on the Hoffman constant of the map relative to its region, and
-    0.0 for the zero map (whose region consists entirely of zeros
-    whenever it is used).
+    ``region`` is the explicit inequality description of that region,
+    built on first use; membership is equivalently certified by
+    nonnegative face multipliers plus feasibility of the face
+    projection, which is what ``contains`` evaluates.  ``hoffman_bound``
+    is ``1 / sigma_min_plus(M)``, an upper bound on the Hoffman constant
+    of the map relative to its region, and 0.0 for the zero map (whose
+    region consists entirely of zeros whenever it is used).
     """
 
     active: tuple
     M: np.ndarray
     v: np.ndarray
-    region: Polyhedron
     hoffman_bound: float
     sigma_min_plus: float
     # face-projection data: proj(x) = proj_matrix @ x + proj_offset,
@@ -71,6 +74,21 @@ class ActiveSetPiece:
     @property
     def dim(self):
         return self.M.shape[1]
+
+    @cached_property
+    def region(self):
+        """The region as a polyhedron: the face projection lies in X,
+        ``A (I - D) x <= b - A pinv(A_J) b_J`` (rows that vanish
+        dropped), and the face multipliers are nonnegative.  The free
+        piece's region is X itself."""
+        if not self.active:
+            return self.source
+        X = self.source
+        C1 = X.A @ self.proj_matrix
+        d1 = X.b - X.A @ self.proj_offset
+        keep = np.abs(C1).max(axis=1) > 1e-12
+        return Polyhedron(np.vstack([C1[keep], -self.mult_matrix]),
+                          np.concatenate([d1[keep], -self.mult_rhs]))
 
     def residual(self, x):
         return self.M @ x - self.v
@@ -88,22 +106,53 @@ class ActiveSetPiece:
         return inside
 
 
-def _region_polyhedron(X, D, Ad_bJ, mult_matrix, mult_rhs):
-    n = X.dim
-    C1 = X.A @ (np.eye(n) - D)
-    d1 = X.b - X.A @ Ad_bJ
-    keep = np.abs(C1).max(axis=1) > 1e-12
-    rows = [C1[keep], -mult_matrix]
-    rhs = [d1[keep], -mult_rhs]
-    return Polyhedron(np.vstack(rows), np.concatenate(rhs))
+def _basic_points(X, scale):
+    """The basic points ``pinv(A_J) b_J`` over the row sets J of size
+    ``rank(A)`` that lie in X within ``1e-9 * scale``, as rows.
+
+    Each minimal face of X is ``{A_I x = b_I}`` with ``rank(A_I) =
+    rank(A)``, so it holds the basic point of every independent
+    ``rank(A)``-subset of I; every nonempty face contains a minimal face.
+    The sets are solved in stacks of ``BASIS_CHUNK`` through the Gram
+    system ``A_J A_J^T y = b_J``, ``x = A_J^T y``; a singular system is
+    skipped.  A point is kept only for being feasible, however it was
+    computed, so a skipped or inexact basis costs a feasibility LP later,
+    never a wrong face.
+    """
+    m, n = X.num_rows, X.dim
+    rank = int(np.linalg.matrix_rank(X.A)) if m else 0
+    if rank == 0:
+        return np.zeros((0, n))
+    sets = np.array(list(combinations(range(m), rank)), dtype=np.intp)
+    points = []
+    for start in range(0, len(sets), BASIS_CHUNK):
+        AJ = X.A[sets[start:start + BASIS_CHUNK]]
+        bJ = X.b[sets[start:start + BASIS_CHUNK]]
+        gram = AJ @ AJ.transpose(0, 2, 1)
+        solvable = np.linalg.det(gram) != 0.0
+        y = np.linalg.solve(gram[solvable], bJ[solvable, :, None])
+        P = (AJ[solvable].transpose(0, 2, 1) @ y)[..., 0]
+        feasible = (P @ X.A.T - X.b).max(axis=1) <= 1e-9 * scale
+        points.append(P[feasible])
+    return np.concatenate(points)
 
 
 def _enumerate_faces(X, budget_rows=MAX_ENUM_ROWS):
-    """Active sets J with rank(A_J^T) = |J| and a nonempty face X_J.
+    """Active sets J with rank(A_J^T) = |J| and a nonempty face X_J, in
+    order of size, then lexicographically.
 
-    Face nonemptiness is decided with a witness cache (any stored feasible
-    point hitting ``A_J x = b_J`` certifies the face) plus empty-subset
-    pruning, falling back to a feasibility LP.
+    A face is certified nonempty by a stored feasible point that hits it
+    (``|A_J x - b_J| <= 1e-9 * scale``).  The store starts with a point
+    found by HiGHS and every basic feasible point (``_basic_points``),
+    which between them hit every nonempty face, so HiGHS
+    (``face_feasible_point``) runs in practice only to prove a face
+    empty; a point it does find joins the store.
+
+    The walk goes level by level: the candidates of size k are the sets
+    whose every (k-1)-subset is a face, since a set with an empty subset
+    is empty and one with a dependent subset is dependent.  A level
+    needs one stacked rank test, and its hit test reads a table over all
+    ``2^m`` row sets that marks each subset of some point's tight rows.
     """
     m, n = X.num_rows, X.dim
     if m > budget_rows:
@@ -112,27 +161,53 @@ def _enumerate_faces(X, budget_rows=MAX_ENUM_ROWS):
     seed_point = find_feasible_point(X)
     if seed_point is None:
         raise Infeasible("the constraint polyhedron is empty")
-    witnesses = seed_point[None, :]
-    empties = []
     scale = 1.0 + float(np.abs(X.b).max(initial=0.0))
+    bits = 1 << np.arange(m)
+    row_sets = np.arange(1 << m)
+
+    def tight_masks(points):
+        return (np.abs(points @ X.A.T - X.b) <= 1e-9 * scale) @ bits
+
+    # hit[S]: the row set S is tight at some stored point
+    hit = np.zeros(1 << m, dtype=bool)
+    hit[tight_masks(np.vstack([seed_point, _basic_points(X, scale)]))] = True
+    for i in range(m):
+        # S without row i is hit wherever S with row i is
+        halves = hit.reshape(-1, 2, 1 << i)
+        halves[:, 0] |= halves[:, 1]
+
+    is_face = np.zeros(1 << m, dtype=bool)
+    is_face[0] = True
     faces = [()]
+    level = np.zeros((1, 0), dtype=np.intp)   # faces of size k-1, in order
     for k in range(1, min(m, n) + 1):
-        for J in combinations(range(m), k):
-            Jset = frozenset(J)
-            if any(e <= Jset for e in empties):
+        # extend each face by a later row: candidates come out in order
+        last = level[:, -1] if k > 1 else np.full(len(level), -1)
+        f, j = np.nonzero(np.arange(m) > last[:, None])
+        cand = np.hstack([level[f], j[:, None]])
+        masks = bits[cand].sum(axis=1)
+        # dropping the last row gives level[f], a face already
+        whole = is_face[masks[:, None] ^ bits[cand[:, :-1]]].all(axis=1)
+        cand, masks = cand[whole], masks[whole]
+        if not len(cand):
+            break
+        AJT = X.A[cand].transpose(0, 2, 1)
+        tol = 1e-10 * np.maximum(1.0, np.abs(AJT).max(axis=(1, 2)))
+        independent = np.linalg.matrix_rank(AJT, tol=tol) == k
+        cand, masks = cand[independent], masks[independent]
+        nonempty = hit[masks]
+        for i in np.flatnonzero(~nonempty):
+            if hit[masks[i]]:   # hit by a point found earlier in this level
+                nonempty[i] = True
                 continue
-            AJ = X.A[list(J)]
-            if np.linalg.matrix_rank(AJ.T, tol=1e-10 * max(1.0, np.abs(AJ).max())) < k:
-                continue
-            bJ = X.b[list(J)]
-            hit = (np.abs(witnesses @ AJ.T - bJ).max(axis=1) <= 1e-9 * scale).any()
-            if not hit:
-                w = face_feasible_point(X, J)
-                if w is None:
-                    empties.append(Jset)
-                    continue
-                witnesses = np.vstack([witnesses, w])
-            faces.append(J)
+            w = face_feasible_point(X, tuple(cand[i].tolist()))
+            if w is not None:
+                w_mask = tight_masks(w)
+                hit[(row_sets & w_mask) == row_sets] = True
+                nonempty[i] = True
+        level = cand[nonempty]
+        is_face[masks[nonempty]] = True
+        faces.extend(map(tuple, level.tolist()))
     return faces
 
 
@@ -154,18 +229,16 @@ def _enumerate_pieces(X, residual_map):
             mult_matrix = gram_inv @ AJ
             mult_rhs = gram_inv @ bJ
             proj_matrix = np.eye(n) - D
-            region = _region_polyhedron(X, D, pjb, mult_matrix, mult_rhs)
         else:
             D = np.zeros((n, n))
             pjb = np.zeros(n)
             mult_matrix = np.zeros((0, n))
             mult_rhs = np.zeros(0)
             proj_matrix = np.eye(n)
-            region = X
         M, v = residual_map(J, D, pjb)
         sigma = spectral_summary(M).sigma_min_plus
         pieces.append(ActiveSetPiece(
-            active=tuple(J), M=M, v=v, region=region,
+            active=tuple(J), M=M, v=v,
             hoffman_bound=0.0 if sigma == 0.0 else 1.0 / sigma,
             sigma_min_plus=sigma,
             proj_matrix=proj_matrix, proj_offset=pjb,
@@ -218,9 +291,24 @@ class FixedSetPiece:
 
     basis: np.ndarray
     rhs: np.ndarray
-    poly: Polyhedron
     witness: np.ndarray
     source_piece: ActiveSetPiece | None = None
+
+    @cached_property
+    def poly(self):
+        """The piece as one polyhedron, built on first use: the source
+        region's rows, then the affine rows as paired inequalities (only
+        the affine rows without a source piece)."""
+        if self.source_piece is None:
+            return affine_rows(self.basis, self.rhs)
+        if not self.basis.shape[0]:
+            return self.source_piece.region
+        return intersect(self.source_piece.region, affine_rows(self.basis, self.rhs))
+
+    @cached_property
+    def projector(self):
+        """Warm-started projection onto ``poly``."""
+        return Projector(self.poly)
 
     def affine_projection(self, x):
         """Projection onto ``{x : B x = e}`` of one point or of each row
@@ -241,14 +329,13 @@ class FixedSetPiece:
         """Distance from x to (affine set) intersect (region).
 
         The affine projection is exact whenever it lands inside the
-        region; otherwise fall back to a polyhedral projection onto the
-        intersection (affine rows encoded as paired inequalities).
+        region; otherwise fall back to the projection onto ``poly``.
         """
         x = np.asarray(x, dtype=float)
         z = self.affine_projection(x)
         if self.region_contains(z):
             return float(np.linalg.norm(x - z))
-        return float(np.linalg.norm(x - project_polyhedron(self.poly, x)))
+        return float(np.linalg.norm(x - self.projector(x)))
 
 
 @dataclass(frozen=True)
@@ -287,8 +374,7 @@ class FixedPointSetDescription:
             if p.region_contains(z):
                 best = min(best, lower)
             else:
-                best = min(best, float(np.linalg.norm(
-                    x - project_polyhedron(p.poly, x))))
+                best = min(best, float(np.linalg.norm(x - p.projector(x))))
         return best
 
     def distances(self, xs):
@@ -326,8 +412,7 @@ def point_fixed_set(x, exact=True, source="pieces"):
     ``exact=False``, for a converged limit used as a distance proxy)."""
     x = np.asarray(x, dtype=float)
     n = x.shape[0]
-    piece = FixedSetPiece(basis=np.eye(n), rhs=x.copy(),
-                          poly=affine_rows(np.eye(n), x), witness=x.copy())
+    piece = FixedSetPiece(basis=np.eye(n), rhs=x.copy(), witness=x.copy())
     return FixedPointSetDescription(pieces=(piece,), representative=x.copy(),
                                     dim=n, source=source, exact=exact)
 
@@ -350,27 +435,20 @@ def fixed_point_set(pieces):
         if np.linalg.norm(M @ x0 - v) > ZERO_CERT_TOL * scale:
             continue  # M x = v has no solution at all
         B, _ = row_and_null_space(M)
-        if B.shape[0]:
-            inter = intersect(piece.region, affine_rows(B, B @ x0))
-        else:
-            inter = piece.region
-        if B.shape[0] == piece.dim:
-            # zero set is the single point x0: membership decides directly
-            if not piece.contains(x0, ZERO_CERT_TOL):
-                continue
+        fp = FixedSetPiece(basis=B, rhs=B @ x0 if B.shape[0] else np.zeros(0),
+                           witness=x0, source_piece=piece)
+        if piece.contains(x0, ZERO_CERT_TOL):
             z = x0
+        elif B.shape[0] == piece.dim:
+            continue  # the zero set is the single point x0, outside the region
         else:
-            if piece.contains(x0, ZERO_CERT_TOL):
-                z = x0
-            else:
-                try:
-                    z = project_polyhedron(inter, x0)
-                except Infeasible:
-                    continue
+            try:
+                z = project_polyhedron(fp.poly, x0)
+            except Infeasible:
+                continue
         if np.linalg.norm(M @ z - v) > ZERO_CERT_TOL * (1.0 + np.linalg.norm(z)):
             continue
-        certified.append(FixedSetPiece(basis=B, rhs=B @ x0 if B.shape[0] else np.zeros(0),
-                                       poly=inter, witness=z, source_piece=piece))
+        certified.append(fp if z is x0 else replace(fp, witness=z))
     if not certified:
         raise NoFixedPoints("no piece region meets the zero set of its "
                             "affine map (the problem has no optimum)")

@@ -108,7 +108,9 @@ def estimate_rates(F, fixset, R, samples=200, seed=0):
 
     Points are drawn as ``representative + r * direction`` with uniform
     direction and radius ``r`` uniform on (0, R].  Samples that land on
-    the fixed set itself are excluded.  Deterministic for a given seed.
+    the fixed set itself are excluded.  The samples and then their images
+    are measured with one ``distances`` call each.  Deterministic for a
+    given seed.
     """
     if fixset is None or getattr(fixset, "representative", None) is None:
         raise EmptyFixedSet("estimate_rates needs a nonempty fixed-point set")
@@ -117,27 +119,29 @@ def estimate_rates(F, fixset, R, samples=200, seed=0):
     rng = np.random.default_rng(seed)
     center = np.asarray(fixset.representative, dtype=float)
     n = center.shape[0]
-    rho_max = 0.0
-    k_max = 0.0
-    used = 0
+    xs = []
     for _ in range(samples):
         direction = rng.standard_normal(n)
         norm = np.linalg.norm(direction)
         if norm == 0.0:
             continue
-        x = center + (R * rng.uniform(0.0, 1.0)) * direction / norm
-        d_x = fixset.distance(x)
-        if d_x <= 1e-14 * (1.0 + np.linalg.norm(x)):
-            continue
-        fx = F.evaluate(x)
+        xs.append(center + (R * rng.uniform(0.0, 1.0)) * direction / norm)
+    xs = np.reshape(xs, (-1, n))
+    d_xs = fixset.distances(xs)
+    kept = d_xs > 1e-14 * (1.0 + np.linalg.norm(xs, axis=1))
+    xs, d_xs = xs[kept], d_xs[kept]
+    fxs = np.reshape([F.evaluate(x) for x in xs], xs.shape)
+    d_fxs = fixset.distances(fxs)
+    rho_max = 0.0
+    k_max = 0.0
+    for x, fx, d_x, d_fx in zip(xs, fxs, d_xs.tolist(), d_fxs.tolist()):
         residual = float(np.linalg.norm(fx - x))
-        d_fx = fixset.distance(fx)
         rho_max = max(rho_max, d_fx / d_x)
         if residual > 0.0:
             k_max = max(k_max, d_x / residual)
         else:
             k_max = np.inf
-        used += 1
+    used = len(xs)
     if used == 0:
         raise EmptyFixedSet("all samples landed on the fixed-point set")
     return EmpiricalRates(rho_tilde=rho_max, k_tilde=k_max,

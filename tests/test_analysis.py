@@ -1,7 +1,11 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fpicert import engine, problems, rates
+from fpicert import analysis, engine, problems, rates
 from fpicert.analysis import (distance_to_fixed_points, enumerate_pieces_lp,
                               enumerate_pieces_qp, error_bound_constant,
                               estimate_min_residual, fixed_point_set,
@@ -10,7 +14,9 @@ from fpicert.errors import EmptyFixedSet, Infeasible, NoFixedPoints, TooLarge
 from fpicert.linalg import (condition_number_plus, lambda_max_psd,
                             row_and_null_space)
 from fpicert.operators import make_dr
-from fpicert.polyhedra import Polyhedron, project_polyhedron, whole_space
+from fpicert.polyhedra import (Polyhedron, face_feasible_point,
+                               find_feasible_point, project_polyhedron,
+                               whole_space)
 
 # canonical one-dimensional instance: min x over x >= 0, optimum 0;
 # the splitting operator's fixed point is w = -gamma
@@ -82,6 +88,107 @@ def test_enumeration_rejects_empty_set():
     X = Polyhedron(np.array([[1.0], [-1.0]]), np.array([-1.0, -1.0]))
     with pytest.raises(Infeasible):
         enumerate_pieces_lp(X, np.ones(1), 1.0, 0.5)
+
+
+def _faces_one_lp_per_face(X):
+    """Reference face enumeration: every row subset in order of size,
+    skipping supersets of empty faces and dependent sets; a subset is a
+    face when a point found so far hits it or a feasibility LP finds
+    one."""
+    m, n = X.num_rows, X.dim
+    seed_point = find_feasible_point(X)
+    if seed_point is None:
+        raise Infeasible("the constraint polyhedron is empty")
+    witnesses = seed_point[None, :]
+    empties = []
+    scale = 1.0 + float(np.abs(X.b).max(initial=0.0))
+    faces = [()]
+    for k in range(1, min(m, n) + 1):
+        for J in combinations(range(m), k):
+            if any(e <= frozenset(J) for e in empties):
+                continue
+            AJ = X.A[list(J)]
+            if np.linalg.matrix_rank(AJ.T, tol=1e-10 * max(1.0, np.abs(AJ).max())) < k:
+                continue
+            bJ = X.b[list(J)]
+            if not (np.abs(witnesses @ AJ.T - bJ).max(axis=1) <= 1e-9 * scale).any():
+                w = face_feasible_point(X, J)
+                if w is None:
+                    empties.append(frozenset(J))
+                    continue
+                witnesses = np.vstack([witnesses, w])
+            faces.append(J)
+    return faces
+
+
+def test_faces_match_the_per_face_loop_on_acceptance_problems():
+    lp_cases = [(2, 4), (3, 6), (4, 8), (5, 10), (6, 12)] * 4
+    qp_cases = [(2, 4, 1), (3, 6, 2), (4, 8, 3), (5, 10, 4), (3, 6, 3)] * 4
+    instances = [problems.generate_lp(n, m, seed)[0]
+                 for seed, (n, m) in enumerate(lp_cases)]
+    instances += [problems.generate_qp(n, m, r, 100 + i)[0]
+                  for i, (n, m, r) in enumerate(qp_cases)]
+    for inst in instances:
+        assert analysis._enumerate_faces(inst.X) == _faces_one_lp_per_face(inst.X)
+
+
+@st.composite
+def degenerate_polyhedra(draw):
+    """Random rows around a point at which some are tight, with paired
+    equality rows, duplicate rows, columns no row uses (a lineality
+    space) and, optionally, a pair of contradicting rows."""
+    n = draw(st.integers(2, 4))
+    rows = draw(st.integers(1, 5))
+    pairs = draw(st.integers(0, min(2, rows)))
+    duplicates = draw(st.integers(0, 2))
+    unused = draw(st.integers(0, n - 1))
+    empty = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    A = rng.standard_normal((rows, n))
+    A[:, :unused] = 0.0
+    x0 = rng.standard_normal(n)
+    slack = rng.uniform(0.0, 1.0, rows) * (rng.random(rows) < 0.5)
+    slack[:pairs] = 0.0
+    b = A @ x0 + slack
+    A, b = np.vstack([A, -A[:pairs]]), np.concatenate([b, -b[:pairs]])
+    copies = rng.integers(0, len(b), duplicates)
+    A, b = np.vstack([A, A[copies]]), np.concatenate([b, b[copies]])
+    if empty:
+        a = rng.standard_normal(n)
+        A, b = np.vstack([A, a, -a]), np.concatenate([b, [-1.0, -1.0]])
+    order = rng.permutation(len(b))
+    return Polyhedron(A[order], b[order]), empty
+
+
+@settings(max_examples=40, deadline=None)
+@given(degenerate_polyhedra())
+def test_faces_match_the_per_face_loop_on_degenerate_rows(case):
+    X, empty = case
+    if empty:
+        with pytest.raises(Infeasible):
+            analysis._enumerate_faces(X)
+    else:
+        assert analysis._enumerate_faces(X) == _faces_one_lp_per_face(X)
+
+
+def test_lazy_region_equals_the_explicit_formula():
+    inst, _ = problems.generate_qp(4, 8, 3, 102)
+    X, n = inst.X, inst.X.dim
+    pieces = enumerate_pieces_qp(X, inst.Q, inst.c, 0.5 / lambda_max_psd(inst.Q), 0.5)
+    assert not any("region" in vars(p) for p in pieces)
+    for p in pieces:
+        if not p.active:
+            assert p.region is X
+            continue
+        AJ, bJ = X.A[list(p.active)], X.b[list(p.active)]
+        gram_inv = np.linalg.inv(AJ @ AJ.T)
+        Ad = AJ.T @ gram_inv
+        C1 = X.A @ (np.eye(n) - Ad @ AJ)
+        d1 = X.b - X.A @ (Ad @ bJ)
+        keep = np.abs(C1).max(axis=1) > 1e-12
+        assert np.array_equal(p.region.A, np.vstack([C1[keep], -(gram_inv @ AJ)]))
+        assert np.array_equal(p.region.b, np.concatenate([d1[keep], -(gram_inv @ bJ)]))
+        assert p.region is p.region
 
 
 def test_qp_pieces_reduce_to_lp_at_zero_curvature():

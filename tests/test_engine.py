@@ -89,6 +89,60 @@ def test_estimate_rates_deterministic():
     assert a == b
 
 
+def _estimate_rates_loop(F, fixset, R, samples, seed):
+    """Reference: one sample at a time with the scalar ``distance``."""
+    rng = np.random.default_rng(seed)
+    center = fixset.representative
+    rho_max = k_max = 0.0
+    used = 0
+    for _ in range(samples):
+        direction = rng.standard_normal(center.shape[0])
+        norm = np.linalg.norm(direction)
+        if norm == 0.0:
+            continue
+        x = center + (R * rng.uniform(0.0, 1.0)) * direction / norm
+        d_x = fixset.distance(x)
+        if d_x <= 1e-14 * (1.0 + np.linalg.norm(x)):
+            continue
+        fx = F.evaluate(x)
+        rho_max = max(rho_max, fixset.distance(fx) / d_x)
+        k_max = max(k_max, d_x / np.linalg.norm(fx - x))
+        used += 1
+    return rho_max, k_max, used
+
+
+def test_batched_estimate_rates_matches_the_loop(monkeypatch):
+    # an LP with a nine-piece fixed set (some distances fall back to a
+    # projection) and a QP; the batched and scalar distances agree to
+    # roundoff, far inside the projection slack KKT_TOL = 1e-8
+    cases = []
+    for inst, _ in (problems.generate_lp(3, 6, 0), problems.generate_qp(3, 6, 2, 4)):
+        gamma = 1.0 if inst.Q is None else 0.5 / np.linalg.eigvalsh(inst.Q).max()
+        f, g = problems.split_functions(inst)
+        op, _ = make_dr(f, g, gamma, 0.5)
+        if inst.Q is None:
+            pieces = analysis.enumerate_pieces_lp(inst.X, inst.c, gamma, 0.5)
+        else:
+            pieces = analysis.enumerate_pieces_qp(inst.X, inst.Q, inst.c, gamma, 0.5)
+        cases.append((op, analysis.fixed_point_set(pieces)))
+    batched = analysis.FixedPointSetDescription.distances
+    calls = []
+
+    def counting(self, xs):
+        calls.append(len(xs))
+        return batched(self, xs)
+
+    monkeypatch.setattr(analysis.FixedPointSetDescription, "distances", counting)
+    for op, fs in cases:
+        for R in (1e-3, 1.0):
+            calls.clear()
+            er = engine.estimate_rates(op, fs, R=R, samples=200, seed=5)
+            rho, k, used = _estimate_rates_loop(op, fs, R, 200, 5)
+            assert calls == [200, used] and er.sample_count == used
+            assert er.k_tilde == pytest.approx(k, rel=1e-8)
+            assert er.rho_tilde == pytest.approx(rho, abs=1e-8)
+
+
 def test_estimate_rates_needs_fixed_set():
     op = problems.example_contraction_operator(0.5)
     with pytest.raises(EmptyFixedSet):

@@ -13,6 +13,7 @@ import pytest
 from fpicert import analysis, engine, problems, rates, verify
 from fpicert.linalg import lambda_max_psd
 from fpicert.operators import make_dr
+from fpicert.polyhedra import project_polyhedron
 
 
 def _record(n, m, rank_q, seed, max_iters):
@@ -79,6 +80,22 @@ def test_batched_distances_fall_back_off_the_affine_hits(scalar_calls):
     batched = fixset.distances(xs)
     assert 0 < len(scalar_calls) < len(xs)
     assert np.abs(batched - _one_by_one(fixset, xs)).max() <= 1e-12
+
+
+def test_fallback_projections_are_warm_and_exact():
+    # the nine-piece LP fixed set: rows whose affine projections miss go
+    # through each piece's cached Projector, whose answers match a cold
+    # projection onto every piece
+    rng = np.random.default_rng(1)
+    inst, _ = problems.generate_lp(3, 6, 0)
+    fixset = analysis.fixed_point_set(
+        analysis.enumerate_pieces_lp(inst.X, inst.c, 1.0, 0.5))
+    xs = fixset.representative + rng.standard_normal((300, 3))
+    cold = [min(np.linalg.norm(x - project_polyhedron(p.poly, x)) for p in fixset.pieces)
+            for x in xs]
+    assert np.abs(fixset.distances(xs) - cold).max() <= 1e-12
+    warm = [vars(p)["projector"] for p in fixset.pieces if "projector" in vars(p)]
+    assert warm and sum(pr.hits for pr in warm) > 0
 
 
 def _per_step_loop(trace, K, alpha):
