@@ -1,8 +1,7 @@
 """Piecewise-affine decomposition of the splitting residual map on
 linear and quadratic programs, with the certified quantities built on it:
 per-piece relative Hoffman bounds, the operator-level error-bound
-constant, an exact description of the fixed-point set, and distances
-to it.
+constant, the fixed-point set as one polyhedron, and distances to it.
 
 The residual map ``x - F(x)`` of the Douglas-Rachford operator on
 ``min c'x (+ 0.5 x'Qx)  s.t.  A x <= b`` is affine on each region
@@ -16,7 +15,7 @@ scale: the row count is capped); ``enumerate_pieces_lp`` and
 kind on each face.  The remaining functions consume the pieces.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
 
@@ -24,8 +23,9 @@ import numpy as np
 
 from .errors import EmptyFixedSet, Infeasible, NoFixedPoints, TooLarge
 from .linalg import row_and_null_space, spectral_summary
-from .polyhedra import (Polyhedron, Projector, affine_rows, face_feasible_point,
-                        find_feasible_point, intersect, project_polyhedron)
+from .polyhedra import (KKT_TOL, Polyhedron, Projector, affine_rows,
+                        face_feasible_point, find_feasible_point, intersect,
+                        project_polyhedron)
 
 #: Hard cap on constraint rows for active-set enumeration.
 MAX_ENUM_ROWS = 16
@@ -36,7 +36,7 @@ ZERO_CERT_TOL = 1e-8
 #: Slack for region-membership tests.
 REGION_TOL = 1e-9
 
-#: Rows per batch in ``FixedPointSetDescription.distances``.
+#: Rows times zero sets per batch in ``FixedPointSetDescription.distances``.
 DISTANCE_CHUNK = 4096
 
 #: Row sets per stacked solve in ``_basic_points``.
@@ -284,148 +284,103 @@ def enumerate_pieces_qp(X, Q, c, gamma, alpha):
 
 
 @dataclass(frozen=True)
-class FixedSetPiece:
-    """One certified piece of the fixed-point set: the affine zero set
-    ``{x : B x = e}`` (orthonormal rows B) intersected with the region of
-    its source piece."""
+class FixedPointSetDescription:
+    """The fixed-point set as one polyhedron ``poly``, with one
+    representative point, the pieces whose region meets it (none for a
+    point set) and their affine zero sets ``{B x = e}`` (orthonormal rows
+    B) as ``(B, e)`` pairs.  ``source`` is ``"pieces"``, or ``"limit"``
+    when a converged point stands in for the set (distances are then
+    upper bounds only).
+    """
 
-    basis: np.ndarray
-    rhs: np.ndarray
-    witness: np.ndarray
-    source_piece: ActiveSetPiece | None = None
-
-    @cached_property
-    def poly(self):
-        """The piece as one polyhedron, built on first use: the source
-        region's rows, then the affine rows as paired inequalities (only
-        the affine rows without a source piece)."""
-        if self.source_piece is None:
-            return affine_rows(self.basis, self.rhs)
-        if not self.basis.shape[0]:
-            return self.source_piece.region
-        return intersect(self.source_piece.region, affine_rows(self.basis, self.rhs))
+    pieces: tuple
+    poly: Polyhedron
+    zero_sets: tuple
+    representative: np.ndarray
+    dim: int
+    source: str = "pieces"
 
     @cached_property
     def projector(self):
         """Warm-started projection onto ``poly``."""
         return Projector(self.poly)
 
-    def affine_projection(self, x):
-        """Projection onto ``{x : B x = e}`` of one point or of each row
-        of a 2-D ``x``."""
-        x = np.asarray(x, dtype=float)
-        if self.basis.shape[0] == 0:
-            return x
-        return x - (x @ self.basis.T - self.rhs) @ self.basis
+    @cached_property
+    def _stacked_zero_sets(self):
+        """``B'B`` and ``B'e`` of every zero set, stacked; ``||B'B x - B'e||
+        = ||B x - e||`` for orthonormal rows B."""
+        return (np.stack([B.T @ B for B, _ in self.zero_sets]),
+                np.stack([B.T @ e for B, e in self.zero_sets]))
 
-    def region_contains(self, z):
-        """Whether ``z`` (one point, or each row) lies in this piece's
-        region: the source piece's test, or ``poly``'s without one."""
-        if self.source_piece is not None:
-            return self.source_piece.contains(z)
-        return self.poly.contains(z)
+    def _nearest_zero_set(self, xs):
+        """For each row of ``xs``: the distance to the nearest zero set
+        (the first on ties), a lower bound on the distance to the set, and
+        whether the projection there lies in ``poly`` within
+        ``KKT_TOL * (1 + ||z||)``, which makes it exact.  ``||B x - e||``
+        over all sets at once picks, within roundoff, the sets to project on."""
+        P, c = self._stacked_zero_sets
+        bound = np.linalg.norm(xs @ P - c[:, None, :], axis=2)
+        near = bound <= bound.min(axis=0) + 1e-12 * (1.0 + np.linalg.norm(xs, axis=1))
+        lower = np.full(xs.shape[0], np.inf)
+        nearest = np.empty_like(xs)
+        for i in np.flatnonzero(near.any(axis=1)):
+            Bi, ei = self.zero_sets[i]
+            Z = xs - (xs @ Bi.T - ei) @ Bi
+            d = np.linalg.norm(xs - Z, axis=1)
+            closer = near[i] & (d < lower)
+            lower[closer] = d[closer]
+            nearest[closer] = Z[closer]
+        slack = KKT_TOL * (1.0 + np.linalg.norm(nearest, axis=1))
+        return lower, self.poly.contains(nearest, slack)
 
     def distance(self, x):
-        """Distance from x to (affine set) intersect (region).
-
-        The affine projection is exact whenever it lands inside the
-        region; otherwise fall back to the projection onto ``poly``.
-        """
+        """Distance from ``x`` to the set: the nearest zero set's when its
+        projection lies in ``poly``, else the projection onto ``poly``."""
         x = np.asarray(x, dtype=float)
-        z = self.affine_projection(x)
-        if self.region_contains(z):
-            return float(np.linalg.norm(x - z))
+        lower, inside = self._nearest_zero_set(x[None, :])
+        if inside[0]:
+            return float(lower[0])
         return float(np.linalg.norm(x - self.projector(x)))
 
-
-@dataclass(frozen=True)
-class FixedPointSetDescription:
-    """Union of certified fixed-set pieces with one representative point.
-
-    ``source`` is ``"pieces"`` when built from the piecewise analysis and
-    ``"limit"`` when the set is approximated by a single converged point
-    (distances are then upper bounds only, ``exact`` False).
-    """
-
-    pieces: tuple
-    representative: np.ndarray
-    dim: int
-    source: str = "pieces"
-    exact: bool = True
-
-    def distance(self, x):
-        """Distance to the union of pieces.
-
-        Each piece's affine distance is a lower bound on its true
-        distance, so pieces are visited in ascending affine-distance
-        order and the scan stops once the bound passes the best value
-        found; the polyhedral projection only runs for the survivors.
-        """
-        x = np.asarray(x, dtype=float)
-        lowers = []
-        for p in self.pieces:
-            z = p.affine_projection(x)
-            lowers.append((float(np.linalg.norm(x - z)), z, p))
-        lowers.sort(key=lambda item: item[0])
-        best = np.inf
-        for lower, z, p in lowers:
-            if lower >= best:
-                break
-            if p.region_contains(z):
-                best = min(best, lower)
-            else:
-                best = min(best, float(np.linalg.norm(x - p.projector(x))))
-        return best
-
     def distances(self, xs):
-        """``distance`` of each row of ``xs``.
-
-        Works on chunks of ``DISTANCE_CHUNK`` rows.  For every piece, the
-        affine projections of a chunk and their region tests are computed
-        at once, by the same methods ``distance`` calls on one point.
-        A row whose nearest affine projection lies in its region is at
-        exactly that distance, since every affine distance is a lower
-        bound; any other row goes through ``distance``.
-        """
+        """``distance`` of each row of ``xs``.  The zero-set test runs on
+        equal chunks of at most ``DISTANCE_CHUNK`` rows per zero set, and
+        only the rows it does not settle go through ``distance``."""
         xs = np.asarray(xs, dtype=float)
-        out = np.full(xs.shape[0], np.inf)
-        if not self.pieces:
-            return out
-        for start in range(0, xs.shape[0], DISTANCE_CHUNK):
-            X = xs[start:start + DISTANCE_CHUNK]
-            lower = np.empty((X.shape[0], len(self.pieces)))
-            inside = np.empty(lower.shape, dtype=bool)
-            for j, p in enumerate(self.pieces):
-                Z = p.affine_projection(X)
-                lower[:, j] = np.linalg.norm(X - Z, axis=1)
-                inside[:, j] = p.region_contains(Z)
-            rows = np.arange(X.shape[0])
-            nearest = lower.argmin(axis=1)
-            out[start:start + X.shape[0]] = lower[rows, nearest]
-            for i in np.flatnonzero(~inside[rows, nearest]):
-                out[start + i] = self.distance(X[i])
+        out = np.empty(xs.shape[0])
+        chunks = -(-xs.shape[0] * len(self.zero_sets) // DISTANCE_CHUNK)
+        for rows in np.array_split(np.arange(xs.shape[0]), max(1, chunks)):
+            out[rows], inside = self._nearest_zero_set(xs[rows])
+            for i in rows[~inside]:
+                out[i] = self.distance(xs[i])
         return out
 
 
-def point_fixed_set(x, exact=True, source="pieces"):
-    """Fixed-set description for the singleton {x} (or, with
-    ``exact=False``, for a converged limit used as a distance proxy)."""
+def point_fixed_set(x, source="pieces"):
+    """Fixed-set description for the singleton {x}; ``source="limit"``
+    marks a converged limit used as a distance proxy."""
     x = np.asarray(x, dtype=float)
     n = x.shape[0]
-    piece = FixedSetPiece(basis=np.eye(n), rhs=x.copy(), witness=x.copy())
-    return FixedPointSetDescription(pieces=(piece,), representative=x.copy(),
-                                    dim=n, source=source, exact=exact)
+    return FixedPointSetDescription(pieces=(), poly=affine_rows(np.eye(n), x),
+                                    zero_sets=((np.eye(n), x.copy()),),
+                                    representative=x.copy(), dim=n, source=source)
 
 
 def fixed_point_set(pieces):
-    """Certified description of the zero set of a piecewise-affine
-    residual map.
+    """Certified description of the zero set of the Douglas-Rachford
+    residual map with the pieces ``pieces`` (``enumerate_pieces_lp/qp``).
 
     For each piece the least-norm solution of ``M x = v`` is projected
-    onto (zero set) intersect (region); the piece enters the description
-    only if that projection exists and its residual under the affine map
-    stays below ``ZERO_CERT_TOL``.  Raises ``NoFixedPoints`` when every
-    intersection is empty.
+    onto (zero set) intersect (region); the piece meets the fixed-point
+    set only if that projection exists and its residual under the affine
+    map stays below ``ZERO_CERT_TOL``.  Raises ``NoFixedPoints`` when
+    every intersection is empty.
+
+    The set is ``Opt - s``: with ``w`` the first certified point and ``p``
+    its face projection, ``s = p - w`` is gamma times the objective
+    gradient, which is constant on the optimal set ``Opt``.  That is
+    ``{A x <= b - A s, R x = R w, s'x <= s'w}`` with rows R spanning
+    ``Range(Q)``, the row space of the free piece's M (none for an LP).
     """
     certified = []
     for piece in pieces:
@@ -435,34 +390,31 @@ def fixed_point_set(pieces):
         if np.linalg.norm(M @ x0 - v) > ZERO_CERT_TOL * scale:
             continue  # M x = v has no solution at all
         B, _ = row_and_null_space(M)
-        fp = FixedSetPiece(basis=B, rhs=B @ x0 if B.shape[0] else np.zeros(0),
-                           witness=x0, source_piece=piece)
+        e = B @ x0
         if piece.contains(x0, ZERO_CERT_TOL):
             z = x0
         elif B.shape[0] == piece.dim:
             continue  # the zero set is the single point x0, outside the region
         else:
             try:
-                z = project_polyhedron(fp.poly, x0)
+                z = project_polyhedron(intersect(piece.region, affine_rows(B, e)), x0)
             except Infeasible:
                 continue
         if np.linalg.norm(M @ z - v) > ZERO_CERT_TOL * (1.0 + np.linalg.norm(z)):
             continue
-        certified.append(fp if z is x0 else replace(fp, witness=z))
+        certified.append((piece, (B, e), z))
     if not certified:
         raise NoFixedPoints("no piece region meets the zero set of its "
                             "affine map (the problem has no optimum)")
-    rep = certified[0].witness
-    return FixedPointSetDescription(pieces=tuple(certified),
-                                    representative=rep.copy(),
-                                    dim=rep.shape[0])
-
-
-def distance_to_fixed_points(fixset, x):
-    """Euclidean distance from x to the union of certified pieces."""
-    if fixset is None or not fixset.pieces:
-        raise EmptyFixedSet("empty fixed-point set description")
-    return fixset.distance(np.asarray(x, dtype=float))
+    fixed, zero_sets, witnesses = zip(*certified)
+    first, w = fixed[0], witnesses[0]
+    s = first.proj_matrix @ w + first.proj_offset - w
+    R, _ = row_and_null_space(next(p for p in pieces if not p.active).M)
+    X = first.source
+    poly = intersect(Polyhedron(X.A, X.b - X.A @ s), affine_rows(R, R @ w),
+                     Polyhedron(s[None, :], [s @ w]))
+    return FixedPointSetDescription(pieces=fixed, poly=poly, zero_sets=zero_sets,
+                                    representative=w.copy(), dim=w.shape[0])
 
 
 def error_bound_constant(pieces, fixset):
@@ -474,13 +426,9 @@ def error_bound_constant(pieces, fixset):
     ``fixset`` identify the relevant maximum.
     """
     if fixset is None or not fixset.pieces:
-        raise EmptyFixedSet("error-bound constant needs a nonempty "
-                            "fixed-point set")
-    bounds = [p.source_piece.hoffman_bound for p in fixset.pieces
-              if p.source_piece is not None]
-    if not bounds:
-        raise EmptyFixedSet("fixed-point set has no associated pieces")
-    return max(bounds)
+        raise EmptyFixedSet("error-bound constant needs the pieces that "
+                            "meet the fixed-point set")
+    return max(p.hoffman_bound for p in fixset.pieces)
 
 
 def estimate_min_residual(piece, samples=64, seed=0, scale=5.0):

@@ -146,7 +146,7 @@ def cmd_solve(args):
                            max_iters=args.max_iters)
     # distances from the converged limit: an upper bound on the true
     # distance, recorded as such
-    fixset = analysis.point_fixed_set(trace.limit, exact=False, source="limit")
+    fixset = analysis.point_fixed_set(trace.limit, source="limit")
     trace.dist_to_fix = fixset.distances(trace.iterates)
     trace.distance_source = "limit"
     solution = extraction(trace.limit) if extraction is not None else trace.limit
@@ -174,7 +174,7 @@ def cmd_solve(args):
 
 
 def _piece_table(pieces, fixset, max_eps_pieces=64):
-    meeting = {id(p.source_piece) for p in fixset.pieces}
+    meeting = {id(p) for p in fixset.pieces}
     lines = ["active_set  rank  sigma_min_plus  hoffman_bound  meets_fixed_set"
              "  min_residual(sampled upper bound)"]
     small = len(pieces) <= max_eps_pieces
@@ -227,8 +227,7 @@ def cmd_analyze(args):
                "pieces": [{"active": list(p.active),
                            "sigma_min_plus": p.sigma_min_plus,
                            "hoffman_bound": p.hoffman_bound,
-                           "meets_fixed_set": any(fp.source_piece is p
-                                                  for fp in fixset.pieces)}
+                           "meets_fixed_set": any(q is p for q in fixset.pieces)}
                           for p in pieces]}
     with open(args.out + ".json", "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)

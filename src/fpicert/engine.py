@@ -4,7 +4,8 @@ The engine is agnostic about where operators come from: anything with
 ``evaluate``, ``dimension`` and ``alpha`` attributes can be iterated.
 Distances to the fixed-point set are supplied by a fixed-set description
 object exposing ``distance(x)`` for one point and ``distances(xs)`` for
-the rows of an array (see :mod:`fpicert.analysis`).
+the rows of an array; :mod:`fpicert.analysis` describes the set of the
+splitting operator on an LP or QP as one polyhedron.
 """
 
 import math

@@ -31,6 +31,10 @@ PER_STEP_SLACK = 1e-8
 #: Step budget of a verification run.
 MAX_ITERS = 200_000
 
+#: A residual at or below this times ``1 + ||limit||`` is roundoff: a few
+#: hundred units of double precision, far below the stopping tolerance.
+ROUNDOFF_FLOOR = 1e-13
+
 
 @dataclass
 class CheckResult:
@@ -88,16 +92,16 @@ class ExperimentReport:
 
 def terminal_contraction(trace, tail_fraction=0.25):
     """Fitted terminal residual contraction with a fallback for runs
-    that reach a fixed point in only a handful of steps: there the
-    geometric-mean ratio over all positive residuals stands in (it is an
-    upper bound on the terminal ratio for monotone residuals)."""
+    that stop after a handful of steps: 0.0 once a residual falls to
+    ``ROUNDOFF_FLOOR * (1 + ||limit||)``, else the geometric-mean ratio
+    over all residuals (an upper bound on the terminal ratio for monotone
+    residuals)."""
     try:
         return engine.fit_asymptotic_rate(trace, tail_fraction), "tail-fit"
     except TooShort:
         r = np.asarray(trace.residuals)
-        if r.size and np.any(r == 0.0):
+        if np.any(r <= ROUNDOFF_FLOOR * (1.0 + np.linalg.norm(trace.limit))):
             return 0.0, "finite-convergence"
-        r = r[r > 0.0]
         if r.size < 2:
             return 0.0, "immediate-convergence"
         return float((r[-1] / r[0]) ** (1.0 / (r.size - 1))), "finite-convergence-fallback"
@@ -234,8 +238,7 @@ def _lp_claims(instance, cert, fixset, K, terminal, sampled):
     problem and certified fields.  ``terminal`` is ``(fit, fit_mode)``."""
     fit, fit_mode = terminal
     unit = 1.0 / (2.0 * cert.alpha)
-    piece_dev = max(abs(fp.source_piece.hoffman_bound - unit)
-                    for fp in fixset.pieces)
+    piece_dev = max(abs(p.hoffman_bound - unit) for p in fixset.pieces)
     rate = cert.extras["rho_dist_relaxed_closed_form"]
     checks = [
         CheckResult("every piece meeting the fixed set has bound 1/(2 alpha)",
@@ -253,8 +256,7 @@ def _null_inclusion_residual(instance, fixset):
     """Largest violation of Null(M_J) within Null(Q) and Null(A_J) over
     the certified pieces (orthonormal null bases)."""
     worst = 0.0
-    for fp in fixset.pieces:
-        pc = fp.source_piece
+    for pc in fixset.pieces:
         _, basis = row_and_null_space(pc.M)
         if basis.shape[1] == 0:
             continue

@@ -104,7 +104,7 @@ def _lp_case(seed, n, m):
         op, fixset, R=1e-3 * (1.0 + np.linalg.norm(trace.limit)),
         samples=200, seed=seed)
     fit, fit_mode = verify.terminal_contraction(trace)
-    piece_dev = max(abs(p.source_piece.hoffman_bound - 1.0)
+    piece_dev = max(abs(p.hoffman_bound - 1.0)
                     for p in fixset.pieces)
     steps = verify.per_step_contraction_checks(trace, K, alpha)
     return {"K": K, "piece_dev": piece_dev, "k_tilde": er.k_tilde,
@@ -137,7 +137,7 @@ def _qp_case(seed, n, m, rank_q):
     trace = engine.iterate(op, fixset.representative + 20 * direction,
                            residual_tol=1e-10, fixset=fixset)
     fit, fit_mode = verify.terminal_contraction(trace)
-    worst_piece = max(p.source_piece.hoffman_bound for p in fixset.pieces)
+    worst_piece = max(p.hoffman_bound for p in fixset.pieces)
     null_res = verify._null_inclusion_residual(inst, fixset)
     steps = verify.per_step_contraction_checks(trace, K, alpha)
     return {"name": inst.name, "kappa": kappa, "K": K,

@@ -6,17 +6,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fpicert import analysis, engine, problems, rates
-from fpicert.analysis import (distance_to_fixed_points, enumerate_pieces_lp,
-                              enumerate_pieces_qp, error_bound_constant,
-                              estimate_min_residual, fixed_point_set,
-                              point_fixed_set)
+from fpicert.analysis import (enumerate_pieces_lp, enumerate_pieces_qp,
+                              error_bound_constant, estimate_min_residual,
+                              fixed_point_set, point_fixed_set)
 from fpicert.errors import EmptyFixedSet, Infeasible, NoFixedPoints, TooLarge
 from fpicert.linalg import (condition_number_plus, lambda_max_psd,
                             row_and_null_space)
 from fpicert.operators import make_dr
-from fpicert.polyhedra import (Polyhedron, face_feasible_point,
-                               find_feasible_point, project_polyhedron,
-                               whole_space)
+from fpicert.polyhedra import (KKT_TOL, Polyhedron, affine_rows,
+                               face_feasible_point, find_feasible_point,
+                               intersect, project_polyhedron, whole_space)
 
 # canonical one-dimensional instance: min x over x >= 0, optimum 0;
 # the splitting operator's fixed point is w = -gamma
@@ -39,7 +38,7 @@ def test_one_dimensional_lp_fixed_point():
     fs = fixed_point_set(pieces)
     assert fs.representative == pytest.approx(-1.0)
     assert len(fs.pieces) == 1
-    assert fs.pieces[0].source_piece.active == (0,)
+    assert fs.pieces[0].active == (0,)
     assert error_bound_constant(pieces, fs) == pytest.approx(1.0)
     # cross-check by iterating the operator itself
     f, g = problems.split_functions(
@@ -64,8 +63,8 @@ def test_zero_objective_makes_feasible_set_fixed():
     pieces = enumerate_pieces_lp(X1, np.zeros(1), gamma=1.0, alpha=0.5)
     fs = fixed_point_set(pieces)
     # every feasible point (x >= 0) is optimal and fixed
-    assert distance_to_fixed_points(fs, np.array([3.0])) <= 1e-9
-    assert distance_to_fixed_points(fs, np.array([0.5])) <= 1e-9
+    assert fs.distance(np.array([3.0])) <= 1e-9
+    assert fs.distance(np.array([0.5])) <= 1e-9
 
 
 def test_unbounded_orientation_has_no_fixed_points():
@@ -121,14 +120,28 @@ def _faces_one_lp_per_face(X):
     return faces
 
 
-def test_faces_match_the_per_face_loop_on_acceptance_problems():
+def _acceptance_instances():
+    """The 20 acceptance LPs (seeds 0-19) and 20 acceptance QPs (seeds
+    100-119)."""
     lp_cases = [(2, 4), (3, 6), (4, 8), (5, 10), (6, 12)] * 4
     qp_cases = [(2, 4, 1), (3, 6, 2), (4, 8, 3), (5, 10, 4), (3, 6, 3)] * 4
     instances = [problems.generate_lp(n, m, seed)[0]
                  for seed, (n, m) in enumerate(lp_cases)]
-    instances += [problems.generate_qp(n, m, r, 100 + i)[0]
-                  for i, (n, m, r) in enumerate(qp_cases)]
-    for inst in instances:
+    return instances + [problems.generate_qp(n, m, r, 100 + i)[0]
+                        for i, (n, m, r) in enumerate(qp_cases)]
+
+
+def _dr_pieces(inst):
+    """Pieces of the acceptance operator: alpha = 1/2, gamma = 1 for an
+    LP and gamma * lambda_max(Q) = 1/2 for a QP."""
+    if inst.kind == "lp":
+        return enumerate_pieces_lp(inst.X, inst.c, 1.0, 0.5)
+    return enumerate_pieces_qp(inst.X, inst.Q, inst.c,
+                               0.5 / lambda_max_psd(inst.Q), 0.5)
+
+
+def test_faces_match_the_per_face_loop_on_acceptance_problems():
+    for inst in _acceptance_instances():
         assert analysis._enumerate_faces(inst.X) == _faces_one_lp_per_face(inst.X)
 
 
@@ -220,6 +233,12 @@ def test_qp_unconstrained_piece_fixed_points_solve_stationarity():
     w = fs.representative
     x = W @ (w - gamma * c)
     assert np.allclose(Q @ x, -c, atol=1e-8)
+
+
+def _piece_part(piece, B, e):
+    """The fixed points on one piece: its zero set {B x = e} intersected
+    with its region."""
+    return intersect(piece.region, affine_rows(B, e))
 
 
 def _sample_region_point(rng, piece, scale=3.0):
@@ -330,14 +349,15 @@ def test_lp_sampled_ratio_within_piece_bound():
     pieces = enumerate_pieces_lp(inst.X, inst.c, 1.0, 0.5)
     fs = fixed_point_set(pieces)
     rng = np.random.default_rng(13)
-    for fp in fs.pieces:
-        piece = fp.source_piece
+    for piece, (B, e) in zip(fs.pieces, fs.zero_sets):
+        part = _piece_part(piece, B, e)
         for _ in range(10):
             x = _sample_region_point(rng, piece)
             r = np.linalg.norm(piece.residual(x))
             if r <= 1e-12:
                 continue
-            assert fp.distance(x) / r <= piece.hoffman_bound + 1e-6
+            dist = np.linalg.norm(x - project_polyhedron(part, x))
+            assert dist / r <= piece.hoffman_bound + 1e-6
 
 
 def test_qp_dominance_holds_for_full_rank_curvature():
@@ -351,8 +371,8 @@ def test_qp_dominance_holds_for_full_rank_curvature():
         pieces = enumerate_pieces_qp(inst.X, inst.Q, inst.c, gamma, 0.5)
         cert = rates.qp_certificate(0.5, gamma, lam_max, kappa)
         fs = fixed_point_set(pieces)
-        for fp in fs.pieces:
-            assert fp.source_piece.hoffman_bound <= cert.K * (1 + 1e-9)
+        for piece in fs.pieces:
+            assert piece.hoffman_bound <= cert.K * (1 + 1e-9)
 
 
 def test_qp_dominance_counterexample_with_rank_deficiency():
@@ -373,10 +393,10 @@ def test_qp_dominance_counterexample_with_rank_deficiency():
     # the witness really is a fixed point of the operator
     f, g = problems.split_functions(inst)
     op, _ = make_dr(f, g, gamma, 0.5)
-    z = fs.pieces[0].witness
+    z = fs.representative
     assert np.linalg.norm(op.evaluate(z) - z) <= 1e-10
     # and the measured ratio along the worst direction matches 1/sigma_min
-    pc = fs.pieces[0].source_piece
+    pc = fs.pieces[0]
     vmin = np.linalg.svd(pc.M)[2][-1]
     x = z + 1e-4 * vmin
     ratio = fs.distance(x) / np.linalg.norm(op.evaluate(x) - x)
@@ -389,8 +409,7 @@ def test_null_space_inclusion_on_certified_pieces():
         gamma = 0.5 / lambda_max_psd(inst.Q)
         pieces = enumerate_pieces_qp(inst.X, inst.Q, inst.c, gamma, 0.5)
         fs = fixed_point_set(pieces)
-        for fp in fs.pieces:
-            pc = fp.source_piece
+        for pc in fs.pieces:
             _, basis = row_and_null_space(pc.M)
             if basis.shape[1] == 0:
                 continue
@@ -402,9 +421,9 @@ def test_null_space_inclusion_on_certified_pieces():
 def test_distance_zero_on_fixed_set_and_linear_nearby():
     pieces = enumerate_pieces_lp(X1, C1, gamma=1.0, alpha=0.5)
     fs = fixed_point_set(pieces)
-    assert distance_to_fixed_points(fs, np.array([-1.0])) <= 1e-12
+    assert fs.distance(np.array([-1.0])) <= 1e-12
     for t in (1e-3, -1e-3, 5e-2):
-        assert distance_to_fixed_points(fs, np.array([-1.0 + t])) \
+        assert fs.distance(np.array([-1.0 + t])) \
             == pytest.approx(abs(t), abs=1e-10)
 
 
@@ -417,11 +436,11 @@ def test_distance_matches_dense_sampling_oracle():
     rng = np.random.default_rng(15)
     for _ in range(5):
         x = fs.representative + rng.standard_normal(3)
-        got = distance_to_fixed_points(fs, x)
+        got = fs.distance(x)
         best = np.inf
-        for fp in fs.pieces:
-            directions = row_and_null_space(fp.basis)[1] if fp.basis.shape[0] else None
-            center = fp.witness
+        for B, e in fs.zero_sets:
+            directions = row_and_null_space(B)[1] if B.shape[0] else None
+            center = fs.representative - (B @ fs.representative - e) @ B
             if directions is None or directions.shape[1] == 0:
                 candidates = [center]
             else:
@@ -429,10 +448,60 @@ def test_distance_matches_dense_sampling_oracle():
                 candidates = [center + directions @ (t * np.ones(directions.shape[1]))
                               for t in span]
             for cand in candidates:
-                cand = project_polyhedron(fp.poly, cand)
+                cand = project_polyhedron(fs.poly, cand)
                 best = min(best, float(np.linalg.norm(x - cand)))
         assert got <= best + 1e-9
         assert got == pytest.approx(best, abs=1e-4)
+
+
+def _union_scan_distance(fs, x):
+    """Reference distance to the fixed-point set as the union of its
+    per-piece parts, each projected onto on its own.  Parts are visited
+    by ascending distance to their zero set, a lower bound, and the scan
+    stops once that bound reaches the best distance found."""
+    bounds = sorted(((float(np.linalg.norm(B @ x - e)), i)
+                     for i, (B, e) in enumerate(fs.zero_sets)))
+    best = np.inf
+    for lower, i in bounds:
+        if lower >= best:
+            break
+        part = _piece_part(fs.pieces[i], *fs.zero_sets[i])
+        best = min(best, float(np.linalg.norm(x - project_polyhedron(part, x))))
+    return best
+
+
+def test_distances_match_the_union_of_pieces_on_acceptance_problems():
+    rng = np.random.default_rng(18)
+    radii = np.repeat([1e-3, 1e-2, 1e-1, 1.0, 10.0], 2)[:, None]
+    for inst in _acceptance_instances():
+        fs = fixed_point_set(_dr_pieces(inst))
+        d = rng.standard_normal((len(radii), inst.dim))
+        xs = fs.representative + radii * d / np.linalg.norm(d, axis=1)[:, None]
+        reference = [_union_scan_distance(fs, x) for x in xs]
+        assert np.abs(fs.distances(xs) - reference).max() <= KKT_TOL, inst.name
+
+
+def test_fixed_set_polyhedron_holds_the_witnesses_and_projects_exactly():
+    # LPs, QPs with paired rows R x = R w, and a full-rank QP, whose R
+    # rows pin the set to one point and leave the s'x row redundant
+    cases = [problems.generate_lp(2, 4, 0)[0], problems.generate_lp(3, 6, 1)[0],
+             problems.generate_qp(2, 4, 1, 100)[0],
+             problems.generate_qp(3, 6, 2, 101)[0],
+             problems.generate_qp(3, 6, 3, 104)[0]]
+    rng = np.random.default_rng(19)
+    for inst in cases:
+        fs = fixed_point_set(_dr_pieces(inst))
+        rank_q = 0 if inst.kind == "lp" else np.linalg.matrix_rank(inst.Q)
+        assert fs.poly.num_rows == inst.X.num_rows + 2 * rank_q + 1
+        for piece, (B, e) in zip(fs.pieces, fs.zero_sets):
+            x0 = np.linalg.lstsq(piece.M, piece.v, rcond=None)[0]
+            z = project_polyhedron(_piece_part(piece, B, e), x0)
+            assert fs.poly.contains(z, KKT_TOL * (1.0 + np.linalg.norm(z)))
+        for _ in range(5):
+            u = fs.representative + rng.standard_normal(inst.dim)
+            got = project_polyhedron(fs.poly, u)
+            want = project_polyhedron(fs.poly, u, method="brute_force")
+            assert np.linalg.norm(got - want) <= 1e-9 * (1.0 + np.linalg.norm(u))
 
 
 def test_error_bound_realized_at_small_radii():
@@ -459,9 +528,9 @@ def test_error_bound_constant_requires_fixed_points():
 
 
 def test_point_fixed_set_distance():
-    fs = point_fixed_set(np.array([1.0, 2.0]), exact=False, source="limit")
+    fs = point_fixed_set(np.array([1.0, 2.0]), source="limit")
     assert fs.distance(np.array([1.0, 5.0])) == pytest.approx(3.0)
-    assert fs.source == "limit" and not fs.exact
+    assert fs.source == "limit"
 
 
 def test_estimate_min_residual_positive_off_fixed_pieces():

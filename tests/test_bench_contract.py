@@ -1,7 +1,9 @@
 """The benchmark under ``bench/`` looks fpicert's functions up by name and
 patches module attributes to trace them.  ``bench/`` is outside the test
 paths, so this guard certifies one LP and one QP exactly as the benchmark
-does, plain and traced, and compares the outcomes with its reference."""
+does, plain and traced, and one ``enum-wide`` LP through the analysis
+alone, and compares the outcomes with its reference.  It also checks that
+every attribute the tracer patches is defined on its owner."""
 
 import importlib.util
 import sys
@@ -47,4 +49,21 @@ def test_benchmark_certifies_like_its_reference(workload, name, traced):
     else:
         outcome = workloads.certify(fpicert, spec, instance, truth)
     reference = workloads.load_reference("acceptance")[workload][name]
+    assert workloads.differences(outcome, reference) == []
+
+
+def test_every_patch_site_is_an_attribute_of_its_owner():
+    # the tracer saves each site through vars(owner), so a name that is
+    # only inherited or imported elsewhere would break the traced run
+    for owner, attr in tracing.patch_sites(fpicert):
+        assert attr in vars(owner), (owner, attr)
+
+
+def test_benchmark_analyzes_an_enum_wide_lp_like_its_reference():
+    spec = workloads.specs("enum-wide")[1]
+    instance, truth = workloads.generate(fpicert, spec)
+    assert instance.name == "lp-n6-m16-s1"
+    outcome = workloads.certify(fpicert, spec, instance, truth)
+    assert outcome["fixed_pieces"] > 1
+    reference = workloads.load_reference("acceptance")["enum-wide"][instance.name]
     assert workloads.differences(outcome, reference) == []

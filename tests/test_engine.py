@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fpicert import analysis, engine, problems, rates
+from fpicert import analysis, engine, problems, rates, verify
 from fpicert.errors import EmptyFixedSet, NonFinite, TooShort
 from fpicert.operators import FixedPointOperator, Provenance, make_dr
 
@@ -206,3 +206,17 @@ def test_fit_zero_residual_means_finite_convergence():
         iterates=np.zeros((31, 1)), residuals=r,
         limit=np.zeros(1), stop_reason=engine.STOP_MAX_ITERS)
     assert engine.fit_asymptotic_rate(tr, 1.0) == 0.0
+
+
+def test_terminal_contraction_counts_a_roundoff_residual_as_finite_convergence():
+    # three steps ending at roundoff, at exactly 0.0, or at a residual well
+    # above the floor 1e-13 * (1 + ||limit||) = 4e-13
+    def terminal(last):
+        tr = engine.IterationTrace(
+            iterates=np.zeros((4, 1)), residuals=np.array([0.6, 0.3, last]),
+            limit=np.full(1, 3.0), stop_reason=engine.STOP_RESIDUAL)
+        return verify.terminal_contraction(tr)
+    assert terminal(4e-16) == terminal(0.0) == (0.0, "finite-convergence")
+    fit, mode = terminal(5e-11)
+    assert mode == "finite-convergence-fallback"
+    assert fit == pytest.approx((5e-11 / 0.6) ** 0.5)

@@ -65,8 +65,7 @@ def test_batched_distances_fall_back_off_the_affine_hits(scalar_calls):
     # a point set, where every row is an affine hit, and an LP whose
     # fixed set has nine pieces, where some rows miss
     rng = np.random.default_rng(0)
-    point = analysis.point_fixed_set(rng.standard_normal(3), exact=False,
-                                     source="limit")
+    point = analysis.point_fixed_set(rng.standard_normal(3), source="limit")
     xs = point.representative + rng.standard_normal((300, 3))
     batched = point.distances(xs)
     assert not scalar_calls
@@ -84,18 +83,16 @@ def test_batched_distances_fall_back_off_the_affine_hits(scalar_calls):
 
 def test_fallback_projections_are_warm_and_exact():
     # the nine-piece LP fixed set: rows whose affine projections miss go
-    # through each piece's cached Projector, whose answers match a cold
-    # projection onto every piece
+    # through the set's cached Projector, whose answers match a cold
+    # projection onto the set
     rng = np.random.default_rng(1)
     inst, _ = problems.generate_lp(3, 6, 0)
     fixset = analysis.fixed_point_set(
         analysis.enumerate_pieces_lp(inst.X, inst.c, 1.0, 0.5))
     xs = fixset.representative + rng.standard_normal((300, 3))
-    cold = [min(np.linalg.norm(x - project_polyhedron(p.poly, x)) for p in fixset.pieces)
-            for x in xs]
+    cold = [np.linalg.norm(x - project_polyhedron(fixset.poly, x)) for x in xs]
     assert np.abs(fixset.distances(xs) - cold).max() <= 1e-12
-    warm = [vars(p)["projector"] for p in fixset.pieces if "projector" in vars(p)]
-    assert warm and sum(pr.hits for pr in warm) > 0
+    assert "projector" in vars(fixset) and fixset.projector.hits > 0
 
 
 def _per_step_loop(trace, K, alpha):
