@@ -42,43 +42,86 @@ class IterationTrace:
         return len(self.residuals)
 
 
+def _doubled(a):
+    return np.concatenate([a, np.empty_like(a)])
+
+
+def _step_run(evaluate, x, tol, max_iters):
+    """Iterates and residuals of one call of ``evaluate`` per step."""
+    iterates = np.empty((64, x.shape[0]))
+    iterates[0] = x
+    residuals = np.empty(64)
+    k = 0
+    while k < max_iters:
+        x_next = np.asarray(evaluate(x), dtype=float)
+        step = x_next - x
+        # norm of a 1-d array, as np.linalg.norm computes it
+        r = math.sqrt(step @ step)
+        if not math.isfinite(r) and not np.all(np.isfinite(x_next)):
+            raise NonFinite("iterate left the finite range")
+        k += 1
+        if k == len(residuals):
+            iterates, residuals = _doubled(iterates), _doubled(residuals)
+        residuals[k - 1] = r
+        iterates[k] = x_next
+        x = x_next
+        if r <= tol:
+            break
+    return iterates[:k + 1], residuals[:k]
+
+
+def _block_run(orbit, x, tol, max_iters):
+    """Iterates and residuals of blocks of steps from ``orbit``."""
+    iterates = np.empty((64, x.shape[0]))
+    iterates[0] = x
+    residuals = np.empty(64)
+    k = 0
+    while k < max_iters:
+        rows, r = orbit(x, max_iters - k, tol)
+        if not np.isfinite(r).all() and not np.isfinite(rows).all():
+            raise NonFinite("iterate left the finite range")
+        while k + len(rows) >= len(residuals):
+            iterates, residuals = _doubled(iterates), _doubled(residuals)
+        residuals[k:k + len(rows)] = r
+        iterates[k + 1:k + 1 + len(rows)] = rows
+        k += len(rows)
+        x = rows[-1]
+        if r[-1] <= tol:
+            break
+    return iterates[:k + 1], residuals[:k]
+
+
 def iterate(F, x0, residual_tol=1e-10, max_iters=200_000, fixset=None):
     """Apply ``x <- F(x)`` until the residual ``||F(x) - x||`` drops to
     ``residual_tol`` or ``max_iters`` steps have been taken.
 
+    Each step is one call of ``F.evaluate``, unless it has a method
+    ``orbit(x, k, tol)`` (the Douglas-Rachford step of an LP or QP has
+    one): that returns up to ``k`` next iterates as rows, with their
+    residuals, and ends after the first residual ``<= tol``, so steps are
+    taken in blocks that never run past ``max_iters`` or past the
+    residual stop.
+
     Raises ``NonFinite`` if an iterate leaves the floating-point range,
     which signals a bug in the operator rather than expected behavior.
-    The iterates are stored as rows of one array that doubles when full.
+    The iterates and residuals are stored in arrays that double when full.
     """
     if residual_tol <= 0:
         raise ValueError("residual_tol must be positive")
     x = np.asarray(x0, dtype=float).copy()
     if x.shape != (F.dimension,):
         raise ValueError(f"x0 has shape {x.shape}, expected ({F.dimension},)")
-    iterates = np.empty((64, x.shape[0]))
-    iterates[0] = x
-    residuals = []
-    stop = STOP_MAX_ITERS
-    for k in range(1, max_iters + 1):
-        x_next = np.asarray(F.evaluate(x), dtype=float)
-        step = x_next - x
-        # norm of a 1-d array, as np.linalg.norm computes it
-        r = math.sqrt(step @ step)
-        if not math.isfinite(r) and not np.all(np.isfinite(x_next)):
-            raise NonFinite("iterate left the finite range")
-        residuals.append(r)
-        if k == iterates.shape[0]:
-            iterates = np.concatenate([iterates, np.empty_like(iterates)])
-        iterates[k] = x_next
-        x = x_next
-        if r <= residual_tol:
-            stop = STOP_RESIDUAL
-            break
+    orbit = getattr(F.evaluate, "orbit", None)
+    if orbit is None:
+        iterates, residuals = _step_run(F.evaluate, x, residual_tol, max_iters)
+    else:
+        iterates, residuals = _block_run(orbit, x, residual_tol, max_iters)
+    stopped = len(residuals) > 0 and residuals[-1] <= residual_tol
     trace = IterationTrace(
-        iterates=iterates[:len(residuals) + 1],
-        residuals=np.asarray(residuals),
-        limit=x.copy(),
-        stop_reason=stop,
+        iterates=iterates,
+        residuals=residuals,
+        limit=iterates[-1].copy(),
+        stop_reason=STOP_RESIDUAL if stopped else STOP_MAX_ITERS,
     )
     if fixset is not None:
         trace.dist_to_fix = fixset.distances(trace.iterates)

@@ -17,7 +17,9 @@ Two projection routes are provided and kept deliberately independent:
 A :class:`Projector` is the repeated-call form of ``active_set``: it
 tries the last certified active set first and accepts the result only
 if it is feasible within the cold loop's slack and its multipliers are
-nonnegative, falling back to the cold loop otherwise.
+nonnegative, falling back to the cold loop otherwise.  It also exposes
+the held face's affine projection and tests whole blocks of points
+against it under the same rule.
 """
 
 import math
@@ -187,7 +189,8 @@ class Projector:
     rows of J tight to the same slack, and every multiplier ``>= 0``
     exactly (the cold loop lets a working multiplier end at ``-KKT_TOL``).
     Otherwise it runs the cold loop and caches the active set of that
-    result.  ``hits`` and ``misses`` count the two outcomes.
+    result.  ``hits`` and ``misses`` count the two outcomes; ``accept``
+    adds a block's certified points to ``hits``.
     """
 
     def __init__(self, poly):
@@ -205,25 +208,53 @@ class Projector:
         except np.linalg.LinAlgError:  # numerically dependent rows: no warm face
             return self._cache(())
         self.active = tuple(J)
-        self._AJ_T = AJ.T
-        self._mult_matrix = gram_inv @ AJ
+        self._AJ = AJ
+        self._mult_T = (gram_inv @ AJ).T
         self._mult_rhs = gram_inv @ bJ
         # rows of A x <= b followed by -A_J x <= -b_J: one product tests
         # feasibility and the tightness of J
-        self._C = np.vstack([self.poly.A, -AJ])
+        self._C_T = np.vstack([self.poly.A, -AJ]).T
         self._d = np.concatenate([self.poly.b, -bJ])
+
+    def face_map(self):
+        """``(A_J, M, q)`` with ``u - A_J^T M u + q`` the projection of ``u``
+        onto the held face ``{A_J x = b_J}``: ``M = G A_J``, ``q = A_J^T G b_J``."""
+        return self._AJ, self._mult_T.T, self._AJ.T @ self._mult_rhs
+
+    def _warm(self, U):
+        """Projections onto the held face of one point, or of each row of
+        a 2-D ``U``, and whether each is KKT-certified: the one acceptance
+        rule of the class."""
+        lam = U @ self._mult_T - self._mult_rhs
+        X = U - lam @ self._AJ
+        slack = X @ self._C_T - self._d
+        if U.ndim == 1:
+            # plain floats: on these short vectors a list max beats a ufunc reduce
+            worst = max(slack.tolist(), default=-math.inf)
+            least = min(lam.tolist(), default=math.inf)
+            norm = math.sqrt(U @ U)
+        else:
+            worst = slack.max(axis=1, initial=-np.inf)
+            least = lam.min(axis=1, initial=np.inf)
+            norm = np.sqrt(np.add.reduce(U * U, axis=1))
+        # the cold loop's feasibility slack, as in _project_active_set
+        ok = (worst <= KKT_TOL * (1.0 + norm + self._bmax)) & (least >= 0.0)
+        return X, ok
+
+    def accept(self, U):
+        """The number of leading rows of ``U`` whose projection onto the
+        held face is certified; they count as hits."""
+        ok = self._warm(U)[1]
+        n = len(ok) if ok.all() else int(np.argmin(ok))
+        self.hits += n
+        return n
 
     def __call__(self, u):
         u = np.asarray(u, dtype=float)
         if u.shape != (self.poly.dim,):
             raise ValueError(f"point has shape {u.shape}, expected ({self.poly.dim},)")
-        scale = 1.0 + math.sqrt(u @ u) + self._bmax  # as in _project_active_set
-        lam = self._mult_matrix @ u - self._mult_rhs
-        x = u - self._AJ_T @ lam
-        slack = self._C @ x - self._d
-        # plain floats: on these short vectors a list max beats a ufunc reduce
-        if (max(slack.tolist(), default=0.0) <= KKT_TOL * scale
-                and min(lam.tolist(), default=0.0) >= 0.0):
+        x, ok = self._warm(u)
+        if ok:
             self.hits += 1
             return x
         self.misses += 1

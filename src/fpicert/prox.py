@@ -5,7 +5,8 @@ A function is described by a :class:`PLQFunctionSpec`.  Its scaled
 proximal map at ``gamma`` (``x`` to the unique minimizer of
 ``gamma*f(u) + 0.5*||u - x||^2``) is prepared once by
 ``prox_map(f, gamma)``, which does every step that depends on ``f`` and
-``gamma`` alone; the returned callable does only the per-point work:
+``gamma`` alone; the returned :class:`ProxMap` does only the per-point
+work:
 
 ==========================  =================================================
 kind                        prepared once / per point
@@ -111,22 +112,49 @@ def function_value(f, x):
     raise ValueError(f"unknown kind {f.kind!r}")
 
 
+@dataclass(frozen=True)
+class ProxMap:
+    """A prepared proximal map of a ``dimension``-vector.  ``affine`` is
+    ``(W, h)`` with ``prox(x) = W x - h`` for the quadratic and linear
+    kinds, else ``None``."""
+
+    dimension: int
+    body: callable
+    affine: tuple | None = None
+
+    @property
+    def projector(self):
+        """The warm-started ``Projector`` of a polyhedral indicator, else
+        ``None``."""
+        return self.body if isinstance(self.body, Projector) else None
+
+    def __call__(self, x):
+        x = np.asarray(x, dtype=float)
+        if x.shape != (self.dimension,):
+            raise ValueError(f"point has shape {x.shape}, expected ({self.dimension},)")
+        return self.body(x)
+
+
 def prox_map(f, gamma):
-    """The scaled proximal map ``x -> argmin gamma*f(u) + 0.5||u - x||^2``,
-    with everything that depends on ``f`` and ``gamma`` alone computed
-    here, once.  The map of a polyhedral indicator is stateful: it keeps
-    the last active set as a warm start (see ``Projector``)."""
+    """The scaled proximal map ``x -> argmin gamma*f(u) + 0.5||u - x||^2``
+    as a :class:`ProxMap`, with everything that depends on ``f`` and
+    ``gamma`` alone computed here, once.  The map of a polyhedral
+    indicator is stateful: it keeps the last active set as a warm start
+    (see ``Projector``)."""
     if gamma <= 0:
         raise ValueError("gamma must be positive")
     n = f.dimension
+    affine = None
     if f.kind == QUADRATIC:
         W = np.linalg.solve(gamma * f.data["Q"] + np.eye(n), np.eye(n))
         Wgc = W @ (gamma * f.data["c"])
+        affine = (W, Wgc)
 
         def body(x):
             return W @ x - Wgc
     elif f.kind == LINEAR:
         gc = gamma * f.data["c"]
+        affine = (np.eye(n), gc)
 
         def body(x):
             return x - gc
@@ -144,14 +172,7 @@ def prox_map(f, gamma):
             return np.clip(x, lo, hi)
     else:
         raise ValueError(f"unknown kind {f.kind!r}")
-
-    def mapped(x):
-        x = np.asarray(x, dtype=float)
-        if x.shape != (n,):
-            raise ValueError(f"point has shape {x.shape}, expected ({n},)")
-        return body(x)
-
-    return mapped
+    return ProxMap(n, body, affine)
 
 
 def prox(f, gamma, x):

@@ -1,8 +1,9 @@
 """The benchmark under ``bench/`` looks fpicert's functions up by name and
 patches module attributes to trace them.  ``bench/`` is outside the test
 paths, so this guard certifies one LP and one QP exactly as the benchmark
-does, plain and traced, and one ``enum-wide`` LP through the analysis
-alone, and compares the outcomes with its reference.  It also checks that
+does, plain and traced, the long-running QP s117 plain, and one
+``enum-wide`` LP through the analysis alone, and compares the outcomes
+with its reference.  It also checks that
 every attribute the tracer patches is defined on its owner."""
 
 import importlib.util
@@ -50,6 +51,18 @@ def test_benchmark_certifies_like_its_reference(workload, name, traced):
         outcome = workloads.certify(fpicert, spec, instance, truth)
     reference = workloads.load_reference("acceptance")[workload][name]
     assert workloads.differences(outcome, reference) == []
+
+
+def test_benchmark_certifies_the_long_qp_like_its_reference():
+    # 13,129 DR steps, almost all on one face, so nearly every step is
+    # taken in a block of the untraced step's orbit
+    spec = workloads.specs("qp-batch")[17]
+    instance, truth = workloads.generate(fpicert, spec)
+    assert instance.name == "qp-n4-m8-r3-s117"
+    outcome = workloads.certify(fpicert, spec, instance, truth)
+    reference = workloads.load_reference("acceptance")["qp-batch"][instance.name]
+    assert workloads.differences(outcome, reference) == []
+    assert outcome["steps"] == reference["steps"] == 13_129
 
 
 def test_every_patch_site_is_an_attribute_of_its_owner():
