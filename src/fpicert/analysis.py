@@ -22,7 +22,7 @@ from itertools import combinations
 import numpy as np
 
 from .errors import EmptyFixedSet, Infeasible, NoFixedPoints, TooLarge
-from .linalg import row_and_null_space, spectral_summary
+from .linalg import spectral_summary
 from .polyhedra import (KKT_TOL, Polyhedron, Projector, affine_rows,
                         face_feasible_point, find_feasible_point, intersect,
                         project_polyhedron)
@@ -55,7 +55,10 @@ class ActiveSetPiece:
     projection, which is what ``contains`` evaluates.  ``hoffman_bound``
     is ``1 / sigma_min_plus(M)``, an upper bound on the Hoffman constant
     of the map relative to its region, and 0.0 for the zero map (whose
-    region consists entirely of zeros whenever it is used).
+    region consists entirely of zeros whenever it is used).  ``rank`` and
+    ``zero`` come from the same ``spectral_summary(M)``: the least-norm
+    solution of ``M x = v``, or ``None`` when its residual exceeds
+    ``ZERO_CERT_TOL * (1 + ||v||)`` (the system has no solution).
     """
 
     active: tuple
@@ -63,6 +66,8 @@ class ActiveSetPiece:
     v: np.ndarray
     hoffman_bound: float
     sigma_min_plus: float
+    rank: int
+    zero: np.ndarray | None
     # face-projection data: proj(x) = proj_matrix @ x + proj_offset,
     # multipliers s(x) = mult_matrix @ x - mult_rhs
     proj_matrix: np.ndarray
@@ -236,11 +241,13 @@ def _enumerate_pieces(X, residual_map):
             mult_rhs = np.zeros(0)
             proj_matrix = np.eye(n)
         M, v = residual_map(J, D, pjb)
-        sigma = spectral_summary(M).sigma_min_plus
+        svd = spectral_summary(M)
+        sigma, x0 = svd.sigma_min_plus, svd.least_norm_solution(v)
+        solvable = np.linalg.norm(M @ x0 - v) <= ZERO_CERT_TOL * (1.0 + np.linalg.norm(v))
         pieces.append(ActiveSetPiece(
             active=tuple(J), M=M, v=v,
             hoffman_bound=0.0 if sigma == 0.0 else 1.0 / sigma,
-            sigma_min_plus=sigma,
+            sigma_min_plus=sigma, rank=svd.rank, zero=x0 if solvable else None,
             proj_matrix=proj_matrix, proj_offset=pjb,
             mult_matrix=mult_matrix, mult_rhs=mult_rhs, source=X,
         ))
@@ -370,11 +377,11 @@ def fixed_point_set(pieces):
     """Certified description of the zero set of the Douglas-Rachford
     residual map with the pieces ``pieces`` (``enumerate_pieces_lp/qp``).
 
-    For each piece the least-norm solution of ``M x = v`` is projected
-    onto (zero set) intersect (region); the piece meets the fixed-point
-    set only if that projection exists and its residual under the affine
-    map stays below ``ZERO_CERT_TOL``.  Raises ``NoFixedPoints`` when
-    every intersection is empty.
+    Each piece's ``zero`` is projected onto (zero set) intersect
+    (region); the piece meets the fixed-point set only if that projection
+    exists and its residual under the affine map stays below
+    ``ZERO_CERT_TOL``.  Raises ``NoFixedPoints`` when every intersection
+    is empty.
 
     The set is ``Opt - s``: with ``w`` the first certified point and ``p``
     its face projection, ``s = p - w`` is gamma times the objective
@@ -384,23 +391,21 @@ def fixed_point_set(pieces):
     """
     certified = []
     for piece in pieces:
-        M, v = piece.M, piece.v
-        scale = 1.0 + float(np.linalg.norm(v))
-        x0, *_ = np.linalg.lstsq(M, v, rcond=None)
-        if np.linalg.norm(M @ x0 - v) > ZERO_CERT_TOL * scale:
+        x0 = piece.zero
+        if x0 is None:
             continue  # M x = v has no solution at all
-        B, _ = row_and_null_space(M)
-        e = B @ x0
-        if piece.contains(x0, ZERO_CERT_TOL):
-            z = x0
-        elif B.shape[0] == piece.dim:
+        inside = piece.contains(x0, ZERO_CERT_TOL)
+        if not inside and piece.rank == piece.dim:
             continue  # the zero set is the single point x0, outside the region
-        else:
+        B = spectral_summary(piece.M).row_basis
+        e = B @ x0
+        z = x0
+        if not inside:
             try:
                 z = project_polyhedron(intersect(piece.region, affine_rows(B, e)), x0)
             except Infeasible:
                 continue
-        if np.linalg.norm(M @ z - v) > ZERO_CERT_TOL * (1.0 + np.linalg.norm(z)):
+        if np.linalg.norm(piece.residual(z)) > ZERO_CERT_TOL * (1.0 + np.linalg.norm(z)):
             continue
         certified.append((piece, (B, e), z))
     if not certified:
@@ -409,7 +414,7 @@ def fixed_point_set(pieces):
     fixed, zero_sets, witnesses = zip(*certified)
     first, w = fixed[0], witnesses[0]
     s = first.proj_matrix @ w + first.proj_offset - w
-    R, _ = row_and_null_space(next(p for p in pieces if not p.active).M)
+    R = spectral_summary(next(p for p in pieces if not p.active).M).row_basis
     X = first.source
     poly = intersect(Polyhedron(X.A, X.b - X.A @ s), affine_rows(R, R @ w),
                      Polyhedron(s[None, :], [s @ w]))

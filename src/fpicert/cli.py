@@ -23,8 +23,6 @@ import numpy as np
 from . import analysis, engine, problems, rates, verify
 from .engine import STOP_RESIDUAL
 from .errors import FpicertError, ParseError, TooLarge, ValidationError
-from .operators import PrimalExtraction
-from .prox import prox_map
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -135,8 +133,6 @@ def cmd_solve(args):
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
     if args.algorithm == "pr":
-        f, _ = problems.split_functions(instance)
-        extraction = PrimalExtraction(prox_map(f, gamma))
         print("note: no averaged-operator guarantee for this algorithm; "
               "rate certificates do not apply", file=sys.stderr)
     rng = np.random.default_rng(args.seed)
@@ -183,8 +179,7 @@ def _piece_table(pieces, fixset, max_eps_pieces=64):
         eps = ""
         if small and not meets:
             eps = "%.3g" % analysis.estimate_min_residual(piece, samples=16)
-        rank = int(np.linalg.matrix_rank(piece.M)) if piece.M.any() else 0
-        lines.append(f"{str(piece.active):<11} {rank:>4}  "
+        lines.append(f"{str(piece.active):<11} {piece.rank:>4}  "
                      f"{piece.sigma_min_plus:<14.6g}  "
                      f"{piece.hoffman_bound:<13.6g}  {str(meets):<15}  {eps}")
     return lines

@@ -40,20 +40,35 @@ def pseudo_inverse(A):
 
 @dataclass(frozen=True)
 class SpectralSummary:
-    """Singular values of a matrix together with its numerical rank.
-
-    ``sigma_min_plus`` is the smallest singular value above the cutoff
-    ``tol * sigma_max``; it is 0.0 for the zero matrix.
-    """
+    """The SVD ``A = U diag(singular_values) Vt`` of a matrix with its
+    numerical rank, the count of singular values above ``tol * sigma_max``;
+    ``sigma_min_plus`` is the smallest of them (0.0 for the zero matrix)."""
 
     singular_values: np.ndarray
     rank: int
     sigma_min_plus: float
+    U: np.ndarray
+    Vt: np.ndarray
+
+    @property
+    def row_basis(self):
+        """Orthonormal rows spanning the row space."""
+        return self.Vt[:self.rank]
+
+    @property
+    def null_basis(self):
+        """Orthonormal columns spanning the null space."""
+        return self.Vt[self.rank:].T
+
+    def least_norm_solution(self, b):
+        """Least-norm solution of ``A x = b`` on the values above the cutoff."""
+        r = self.rank
+        return self.Vt[:r].T @ ((self.U[:, :r].T @ b) / self.singular_values[:r])
 
 
 def spectral_summary(A, tol=DEFAULT_RANK_TOL):
-    """Singular values (nonincreasing), numerical rank, and smallest
-    positive singular value of ``A``.
+    """Singular values (nonincreasing), numerical rank, smallest positive
+    singular value and SVD factors of ``A``: the one rank rule.
 
     Rank counts values above ``tol * sigma_max``, which makes the cutoff
     invariant under rescaling of ``A``.
@@ -61,13 +76,10 @@ def spectral_summary(A, tol=DEFAULT_RANK_TOL):
     if tol <= 0:
         raise ValueError("tol must be positive")
     A = as_matrix(A)
-    svals = np.linalg.svd(A, compute_uv=False)
-    if svals.size == 0 or svals[0] <= 0.0:
-        return SpectralSummary(svals, 0, 0.0)
-    cutoff = tol * svals[0]
-    rank = int(np.count_nonzero(svals > cutoff))
+    U, svals, Vt = np.linalg.svd(A)
+    rank = int(np.count_nonzero(svals > tol * svals.max(initial=0.0)))
     sigma_min_plus = float(svals[rank - 1]) if rank > 0 else 0.0
-    return SpectralSummary(svals, rank, sigma_min_plus)
+    return SpectralSummary(svals, rank, sigma_min_plus, U, Vt)
 
 
 def psd_eigenvalues(Q, tol=PSD_TOL, relative=False):
@@ -116,14 +128,3 @@ def lambda_max_psd(Q):
     if Q.size == 0:
         return 0.0
     return float(np.linalg.eigvalsh(0.5 * (Q + Q.T))[-1])
-
-
-def row_and_null_space(A, tol=DEFAULT_RANK_TOL):
-    """Orthonormal bases of the row space (rows) and of the null space
-    (columns) of ``A``, split at the numerical rank: singular values
-    above ``tol * sigma_max``."""
-    A = as_matrix(A)
-    _, svals, vt = np.linalg.svd(A)
-    cutoff = tol * svals[0] if svals.size and svals[0] > 0 else 0.0
-    rank = int(np.count_nonzero(svals > cutoff))
-    return vt[:rank], vt[rank:].T

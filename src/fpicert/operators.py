@@ -255,8 +255,8 @@ def _dr_step(f, g, gamma, alpha):
 
 def make_dr(f, g, gamma, alpha):
     """Douglas-Rachford map ``(1-a) w + a ref(g) o ref(f) (w)`` together
-    with the extraction ``w -> prox(f, gamma, w)`` that recovers a
-    minimizer of f + g from any fixed point."""
+    with the extraction ``w -> prox(f, gamma, w)``, by the step's own prox
+    map of f, that recovers a minimizer of f + g from any fixed point."""
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
     if gamma <= 0:
@@ -270,7 +270,7 @@ def make_dr(f, g, gamma, alpha):
         evaluate=_dr_step(f, g, gamma, alpha),
         provenance=prov,
     )
-    return op, PrimalExtraction(prox_map(f, gamma))
+    return op, PrimalExtraction(op.evaluate.prox_f)
 
 
 def make_pr(f, g, gamma):
@@ -296,7 +296,6 @@ def make_admm_xy_split(f, g, rho):
     if rho <= 0:
         raise ValueError("rho must be positive")
     dr_eval = DRStep(prox_map(f, rho), prox_map(g, rho), 0.5)
-    prox_f = prox_map(f, rho)
     prov = Provenance("admm", {"rho": rho}, {"f": f, "g": g})
     op = FixedPointOperator(
         dimension=f.dimension,
@@ -304,7 +303,7 @@ def make_admm_xy_split(f, g, rho):
         evaluate=lambda w: dr_eval(rho * w) / rho,
         provenance=prov,
     )
-    return op, PrimalExtraction(lambda w: prox_f(rho * w))
+    return op, PrimalExtraction(lambda w: dr_eval.prox_f(rho * w))
 
 
 def run_admm_direct(f, g, rho, y0=None, w0=None, iters=100):

@@ -16,9 +16,10 @@ import numpy as np
 from . import prox as fn
 from .errors import NotPSD, ParseError, ValidationError
 from .linalg import lambda_max_psd, psd_eigenvalues
-from .operators import (FixedPointOperator, Provenance, make_admm_xy_split,
-                        make_dr, make_gd, make_gradient_projection,
-                        make_pr, make_proximal_gradient, make_proximal_point)
+from .operators import (FixedPointOperator, PrimalExtraction, Provenance,
+                        make_admm_xy_split, make_dr, make_gd,
+                        make_gradient_projection, make_pr,
+                        make_proximal_gradient, make_proximal_point)
 from .polyhedra import Polyhedron, find_feasible_point, whole_space
 
 KINDS = ("lp", "qp", "lasso", "prox_demo")
@@ -337,7 +338,8 @@ def operator_for(instance, algorithm, gamma=1.0, alpha=0.5, lam=0.1, rho=1.0):
     if algorithm == "dr":
         return make_dr(f, g, gamma, alpha)
     if algorithm == "pr":
-        return make_pr(f, g, gamma), None
+        op = make_pr(f, g, gamma)
+        return op, PrimalExtraction(op.evaluate.prox_f)
     if algorithm == "admm":
         return make_admm_xy_split(f, g, rho)
     if algorithm == "gd":

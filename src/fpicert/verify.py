@@ -20,7 +20,7 @@ import numpy as np
 from . import analysis, engine, operators, problems, rates
 from .engine import STOP_RESIDUAL
 from .errors import TooShort
-from .linalg import condition_number_plus, lambda_max_psd, row_and_null_space
+from .linalg import condition_number_plus, lambda_max_psd, spectral_summary
 
 #: Default sweep radii for exposing the region where the error bound is
 #: in force.
@@ -257,13 +257,10 @@ def _null_inclusion_residual(instance, fixset):
     the certified pieces (orthonormal null bases)."""
     worst = 0.0
     for pc in fixset.pieces:
-        _, basis = row_and_null_space(pc.M)
-        if basis.shape[1] == 0:
-            continue
-        worst = max(worst, float(np.abs(instance.Q @ basis).max()))
-        if pc.active:
-            AJ = instance.X.A[list(pc.active)]
-            worst = max(worst, float(np.abs(AJ @ basis).max()))
+        basis = spectral_summary(pc.M).null_basis
+        AJ = instance.X.A[list(pc.active)]
+        worst = max(worst, float(np.abs(instance.Q @ basis).max(initial=0.0)),
+                    float(np.abs(AJ @ basis).max(initial=0.0)))
     return worst
 
 

@@ -11,7 +11,7 @@ from fpicert.analysis import (enumerate_pieces_lp, enumerate_pieces_qp,
                               fixed_point_set, point_fixed_set)
 from fpicert.errors import EmptyFixedSet, Infeasible, NoFixedPoints, TooLarge
 from fpicert.linalg import (condition_number_plus, lambda_max_psd,
-                            row_and_null_space)
+                            spectral_summary)
 from fpicert.operators import make_dr
 from fpicert.polyhedra import (KKT_TOL, Polyhedron, affine_rows,
                                face_feasible_point, find_feasible_point,
@@ -138,6 +138,21 @@ def _dr_pieces(inst):
         return enumerate_pieces_lp(inst.X, inst.c, 1.0, 0.5)
     return enumerate_pieces_qp(inst.X, inst.Q, inst.c,
                                0.5 / lambda_max_psd(inst.Q), 0.5)
+
+
+def test_piece_rank_and_zero_match_lstsq_on_acceptance_problems():
+    # one SVD per piece: its rank is the 1e-10 * sigma_max rule and its
+    # zero exists exactly when lstsq solves M x = v, at the same point
+    for inst in _acceptance_instances():
+        for piece in _dr_pieces(inst):
+            svals = np.linalg.svd(piece.M, compute_uv=False)
+            assert piece.rank == np.count_nonzero(svals > 1e-10 * svals[0])
+            x0 = np.linalg.lstsq(piece.M, piece.v, rcond=None)[0]
+            scale = 1.0 + np.linalg.norm(piece.v)
+            solvable = np.linalg.norm(piece.M @ x0 - piece.v) <= analysis.ZERO_CERT_TOL * scale
+            assert (piece.zero is not None) == solvable, (inst.name, piece.active)
+            if solvable:
+                assert np.linalg.norm(piece.zero - x0) <= 1e-9 * (1.0 + np.linalg.norm(x0))
 
 
 def test_faces_match_the_per_face_loop_on_acceptance_problems():
@@ -410,7 +425,7 @@ def test_null_space_inclusion_on_certified_pieces():
         pieces = enumerate_pieces_qp(inst.X, inst.Q, inst.c, gamma, 0.5)
         fs = fixed_point_set(pieces)
         for pc in fs.pieces:
-            _, basis = row_and_null_space(pc.M)
+            basis = spectral_summary(pc.M).null_basis
             if basis.shape[1] == 0:
                 continue
             assert np.abs(inst.Q @ basis).max() <= 1e-8
@@ -439,7 +454,7 @@ def test_distance_matches_dense_sampling_oracle():
         got = fs.distance(x)
         best = np.inf
         for B, e in fs.zero_sets:
-            directions = row_and_null_space(B)[1] if B.shape[0] else None
+            directions = spectral_summary(B).null_basis if B.shape[0] else None
             center = fs.representative - (B @ fs.representative - e) @ B
             if directions is None or directions.shape[1] == 0:
                 candidates = [center]

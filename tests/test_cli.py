@@ -85,6 +85,20 @@ def test_analyze_qp_reports_both_constants(tmp_path):
     assert payload["K"] > 0 and payload["K_closed_form"] > 0
 
 
+def test_analyze_rank_column_uses_the_piece_rank(tmp_path):
+    # the free piece's singular values are about 0.333 and 1.6e-16, so
+    # its rank is 1, as its sigma_min_plus and hoffman_bound imply
+    inst, _ = problems.generate_qp(2, 4, 1, 1100)
+    path = tmp_path / "qp.txt"
+    problems.save(inst, path)
+    out = str(tmp_path / "qp_report.txt")
+    assert cli.main(["analyze", str(path), "--out", out]) == cli.EXIT_OK
+    row = next(line for line in open(out) if line.startswith("() "))
+    _, rank, sigma, bound = row.split()[:4]
+    assert rank == "1"
+    assert float(bound) == pytest.approx(1.0 / float(sigma), rel=1e-5)
+
+
 def test_analyze_budget_exit_four(tmp_path):
     rng = np.random.default_rng(0)
     A = rng.standard_normal((20, 2))

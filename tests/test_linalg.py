@@ -4,7 +4,7 @@ import scipy.linalg
 
 from fpicert.errors import NotPSD, ZeroMatrix
 from fpicert.linalg import (condition_number_plus, pseudo_inverse,
-                            row_and_null_space, spectral_summary)
+                            spectral_summary)
 
 
 def test_pseudo_inverse_identity():
@@ -54,12 +54,36 @@ def test_spectral_summary_diagonal():
     assert np.allclose(s.singular_values, [3.0, 2.0, 0.0])
     assert s.rank == 2
     assert s.sigma_min_plus == pytest.approx(2.0)
+    b = np.array([3.0, 4.0, 5.0])
+    assert np.allclose(s.least_norm_solution(b), [1.0, 2.0, 0.0])
+
+
+def test_spectral_summary_ignores_values_below_the_cutoff():
+    # singular values (1, 1e-12): the 1e-12 direction is below the
+    # 1e-10 cutoff, so it counts as null and is not inverted, where
+    # lstsq's default cutoff (about n * eps * sigma_max) would invert it
+    rng = np.random.default_rng(12)
+    U, _ = np.linalg.qr(rng.standard_normal((2, 2)))
+    V, _ = np.linalg.qr(rng.standard_normal((2, 2)))
+    A = U @ np.diag([1.0, 1e-12]) @ V.T
+    b = rng.standard_normal(2)
+    s = spectral_summary(A)
+    assert s.rank == 1 and s.sigma_min_plus == pytest.approx(1.0)
+    x = s.least_norm_solution(b)
+    assert np.allclose(x, np.linalg.pinv(A, rcond=1e-10) @ b, rtol=0, atol=1e-12)
+    assert np.linalg.norm(np.linalg.lstsq(A, b, rcond=None)[0]) > 1e10
+    R, N = s.row_basis, s.null_basis
+    assert R.shape == (1, 2) and N.shape == (2, 1)
+    assert np.allclose(np.vstack([R, N.T]) @ np.vstack([R, N.T]).T, np.eye(2), atol=1e-12)
+    assert np.abs(A @ N).max() <= 1e-11
 
 
 def test_spectral_summary_zero_matrix():
     s = spectral_summary(np.zeros((3, 4)))
     assert s.rank == 0
     assert s.sigma_min_plus == 0.0
+    assert s.row_basis.shape == (0, 4) and s.null_basis.shape == (4, 4)
+    assert np.array_equal(s.least_norm_solution(np.ones(3)), np.zeros(4))
 
 
 def test_spectral_summary_scaled_projector():
@@ -118,7 +142,8 @@ def test_condition_number_rejects_zero():
 def test_null_and_row_space_bases():
     rng = np.random.default_rng(9)
     A = rng.standard_normal((2, 5))
-    R, N = row_and_null_space(A)
+    s = spectral_summary(A)
+    R, N = s.row_basis, s.null_basis
     assert N.shape == (5, 3) and R.shape == (2, 5)
     assert np.abs(A @ N).max() <= 1e-12
     assert np.allclose(R @ R.T, np.eye(2), atol=1e-12)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import fpicert.prox
 from fpicert import engine, problems
 from fpicert.errors import StepTooLarge
 from fpicert.operators import (compose_alpha, make_admm_xy_split, make_dr,
@@ -322,3 +323,26 @@ def test_extraction_recovers_optimum():
     assert problems.kkt_residual(inst, xhat) <= 1e-6
     assert abs(inst.objective(xhat)
                - inst.objective(truth.known_optimum)) <= 1e-6
+
+
+@pytest.mark.parametrize("algorithm", ["dr", "pr", "admm"])
+def test_extraction_shares_the_steps_projector(algorithm, monkeypatch):
+    # one prepared prox map of f per operator: its step and its extraction
+    # use the same Projector onto X, so the extraction starts warm
+    built = []
+
+    class CountingProjector(fpicert.prox.Projector):
+        def __init__(self, poly):
+            built.append(self)
+            super().__init__(poly)
+
+    monkeypatch.setattr(fpicert.prox, "Projector", CountingProjector)
+    inst, truth = problems.generate_lp(3, 7, seed=5)
+    op, extraction = problems.operator_for(inst, algorithm, gamma=1.0, rho=1.0)
+    tr = engine.iterate(op, 10 * np.ones(3), residual_tol=1e-12, max_iters=2000)
+    assert len(built) == 1
+    misses = built[0].misses
+    xhat = extraction(tr.limit)
+    assert built[0].misses == misses
+    if algorithm != "pr":
+        assert problems.kkt_residual(inst, xhat) <= 1e-6
