@@ -9,10 +9,12 @@ The residual map ``x - F(x)`` of the Douglas-Rachford operator on
     P_J = X_J + A_J^T R_+^{|J|},      X_J = {x in X : A_J x = b_J},
 
 indexed by the active sets J with independent rows and nonempty face.
-One enumeration body walks those faces and builds every piece (desk
-scale: the row count is capped); ``enumerate_pieces_lp`` and
-``enumerate_pieces_qp`` only supply the affine map of their problem
-kind on each face.  The remaining functions consume the pieces.
+One enumeration body walks those faces (desk scale: the row count is
+capped), holds each as a ``polyhedra.Face`` and takes its piece from
+``operators.dr_piece``, the formula the iterated DR step also uses;
+``enumerate_pieces_lp`` and ``enumerate_pieces_qp`` only supply the
+affine prox ``prox_g(x) = W x - h`` of their objective.  The remaining
+functions consume the pieces.
 """
 
 from dataclasses import dataclass
@@ -23,9 +25,11 @@ import numpy as np
 
 from .errors import EmptyFixedSet, Infeasible, NoFixedPoints, TooLarge
 from .linalg import spectral_summary
-from .polyhedra import (KKT_TOL, Polyhedron, Projector, affine_rows,
+from .operators import dr_piece
+from .polyhedra import (KKT_TOL, Face, Polyhedron, Projector, affine_rows,
                         face_feasible_point, find_feasible_point, intersect,
                         project_polyhedron)
+from .prox import linear, prox_map, quadratic
 
 #: Hard cap on constraint rows for active-set enumeration.
 MAX_ENUM_ROWS = 16
@@ -46,8 +50,7 @@ BASIS_CHUNK = 2048
 @dataclass(frozen=True)
 class ActiveSetPiece:
     """One affine piece ``x -> M x - v`` of a residual map, valid on the
-    region of points whose projection onto X lands on the face with
-    active set ``active``.
+    region of points whose projection onto X lands on ``face``.
 
     ``region`` is the explicit inequality description of that region,
     built on first use; membership is equivalently certified by
@@ -61,20 +64,18 @@ class ActiveSetPiece:
     ``ZERO_CERT_TOL * (1 + ||v||)`` (the system has no solution).
     """
 
-    active: tuple
+    face: Face
     M: np.ndarray
     v: np.ndarray
     hoffman_bound: float
     sigma_min_plus: float
     rank: int
     zero: np.ndarray | None
-    # face-projection data: proj(x) = proj_matrix @ x + proj_offset,
-    # multipliers s(x) = mult_matrix @ x - mult_rhs
-    proj_matrix: np.ndarray
-    proj_offset: np.ndarray
-    mult_matrix: np.ndarray
-    mult_rhs: np.ndarray
     source: Polyhedron
+
+    @property
+    def active(self):
+        return self.face.active
 
     @property
     def dim(self):
@@ -88,12 +89,12 @@ class ActiveSetPiece:
         piece's region is X itself."""
         if not self.active:
             return self.source
-        X = self.source
-        C1 = X.A @ self.proj_matrix
-        d1 = X.b - X.A @ self.proj_offset
+        X, face = self.source, self.face
+        C1 = X.A @ (np.eye(self.dim) - face.D)
+        d1 = X.b - X.A @ face.offset
         keep = np.abs(C1).max(axis=1) > 1e-12
-        return Polyhedron(np.vstack([C1[keep], -self.mult_matrix]),
-                          np.concatenate([d1[keep], -self.mult_rhs]))
+        return Polyhedron(np.vstack([C1[keep], -face.mult]),
+                          np.concatenate([d1[keep], -face.mult_rhs]))
 
     def residual(self, x):
         return self.M @ x - self.v
@@ -104,11 +105,9 @@ class ActiveSetPiece:
         ``source`` within the same slack, ``scale = 1 + ||x||``."""
         x = np.asarray(x, dtype=float)
         slack = tol * (1.0 + np.sqrt(np.square(x).sum(axis=-1)))
-        inside = self.source.contains(x @ self.proj_matrix.T + self.proj_offset, slack)
-        if self.active:
-            mult = x @ self.mult_matrix.T - self.mult_rhs
-            inside &= mult.min(axis=-1) >= -slack
-        return inside
+        points, mult = self.face.project(x)
+        return (self.source.contains(points, slack)
+                & (mult.min(axis=-1, initial=np.inf) >= -slack))
 
 
 def _basic_points(X, scale):
@@ -216,88 +215,48 @@ def _enumerate_faces(X, budget_rows=MAX_ENUM_ROWS):
     return faces
 
 
-def _enumerate_pieces(X, residual_map):
-    """One piece per face of X.  ``residual_map(J, D, pjb)`` gives the
-    affine map ``(M, v)`` on the face with active set J, from the
-    projector ``D = pinv(A_J) A_J`` and ``pjb = pinv(A_J) b_J`` (both zero
-    for the empty active set)."""
-    n = X.dim
+def _enumerate_pieces(X, W, h, alpha):
+    """One piece per face of X: the DR residual map ``dr_piece`` gives
+    on that face, with ``prox_g(x) = W x - h``."""
     pieces = []
     for J in _enumerate_faces(X):
-        if J:
-            AJ = X.A[list(J)]
-            bJ = X.b[list(J)]
-            gram_inv = np.linalg.inv(AJ @ AJ.T)
-            Ad = AJ.T @ gram_inv          # pseudoinverse of AJ (full row rank)
-            D = Ad @ AJ                   # orthogonal projector onto Range(AJ^T)
-            pjb = Ad @ bJ
-            mult_matrix = gram_inv @ AJ
-            mult_rhs = gram_inv @ bJ
-            proj_matrix = np.eye(n) - D
-        else:
-            D = np.zeros((n, n))
-            pjb = np.zeros(n)
-            mult_matrix = np.zeros((0, n))
-            mult_rhs = np.zeros(0)
-            proj_matrix = np.eye(n)
-        M, v = residual_map(J, D, pjb)
+        face = Face.of(X, J)
+        M, v = dr_piece(W, h, alpha, face)
         svd = spectral_summary(M)
         sigma, x0 = svd.sigma_min_plus, svd.least_norm_solution(v)
         solvable = np.linalg.norm(M @ x0 - v) <= ZERO_CERT_TOL * (1.0 + np.linalg.norm(v))
         pieces.append(ActiveSetPiece(
-            active=tuple(J), M=M, v=v,
+            face=face, M=M, v=v,
             hoffman_bound=0.0 if sigma == 0.0 else 1.0 / sigma,
             sigma_min_plus=sigma, rank=svd.rank, zero=x0 if solvable else None,
-            proj_matrix=proj_matrix, proj_offset=pjb,
-            mult_matrix=mult_matrix, mult_rhs=mult_rhs, source=X,
+            source=X,
         ))
     return pieces
 
 
 def enumerate_pieces_lp(X, c, gamma, alpha):
-    """Pieces of the residual map of the Douglas-Rachford operator
-    ``(1-2a) x + 2a proj_X(x) - 2a g c`` for ``min c'x s.t. x in X``:
-    on each region, ``M = 2a pinv(A_J) A_J`` and ``v = 2a (pinv(A_J) b_J
-    - g c)``."""
-    c = np.asarray(c, dtype=float)
-
-    def residual_map(J, D, pjb):
-        # the free piece keeps the rounding of its closed form -2a g c
-        v = 2.0 * alpha * (pjb - gamma * c) if J else -2.0 * alpha * gamma * c
-        return 2.0 * alpha * D, v
-
-    return _enumerate_pieces(X, residual_map)
+    """Pieces of the residual map of the Douglas-Rachford operator for
+    ``min c'x s.t. x in X``: ``prox_g(x) = x - g c``, so on each region
+    ``M = 2a pinv(A_J) A_J`` and ``v = 2a (pinv(A_J) b_J - g c)``."""
+    return _enumerate_pieces(X, *prox_map(linear(c), gamma).affine, alpha)
 
 
 def enumerate_pieces_qp(X, Q, c, gamma, alpha):
     """Pieces of the residual map of the Douglas-Rachford operator for
-    ``min 0.5 x'Qx + c'x s.t. x in X``: with ``W = inv(g Q + I)`` and
-    ``D = pinv(A_J) A_J``,
-
-        M = 2a (I - D - W (I - 2 D)),
-        v = 2a (W (2 pinv(A_J) b_J - g c) - pinv(A_J) b_J).
-    """
-    Q = np.asarray(Q, dtype=float)
-    c = np.asarray(c, dtype=float)
-    n = X.dim
-    W = np.linalg.solve(gamma * Q + np.eye(n), np.eye(n))
-
-    def residual_map(J, D, pjb):
-        M = 2.0 * alpha * (np.eye(n) - D - W @ (np.eye(n) - 2.0 * D))
-        v = 2.0 * alpha * (W @ (2.0 * pjb - gamma * c) - pjb)
-        return M, v
-
-    return _enumerate_pieces(X, residual_map)
+    ``min 0.5 x'Qx + c'x s.t. x in X``: ``prox_g(x) = W x - h`` with
+    ``W = inv(g Q + I)``, ``h = W g c`` (see ``dr_piece``)."""
+    return _enumerate_pieces(X, *prox_map(quadratic(Q, c), gamma).affine, alpha)
 
 
 @dataclass(frozen=True)
 class FixedPointSetDescription:
     """The fixed-point set as one polyhedron ``poly``, with one
     representative point, the pieces whose region meets it (none for a
-    point set) and their affine zero sets ``{B x = e}`` (orthonormal rows
-    B) as ``(B, e)`` pairs.  ``source`` is ``"pieces"``, or ``"limit"``
-    when a converged point stands in for the set (distances are then
-    upper bounds only).
+    point set), their affine zero sets ``{B x = e}`` (orthonormal rows
+    B) as ``(B, e)`` pairs and the orthonormal null bases of their maps
+    (columns, from the SVD that gave B).  ``source`` is ``"pieces"``, or
+    ``"limit"`` when a converged point stands in for the set (distances
+    are then upper bounds only).
     """
 
     pieces: tuple
@@ -306,6 +265,7 @@ class FixedPointSetDescription:
     representative: np.ndarray
     dim: int
     source: str = "pieces"
+    null_bases: tuple = ()
 
     @cached_property
     def projector(self):
@@ -397,7 +357,8 @@ def fixed_point_set(pieces):
         inside = piece.contains(x0, ZERO_CERT_TOL)
         if not inside and piece.rank == piece.dim:
             continue  # the zero set is the single point x0, outside the region
-        B = spectral_summary(piece.M).row_basis
+        svd = spectral_summary(piece.M)
+        B = svd.row_basis
         e = B @ x0
         z = x0
         if not inside:
@@ -407,19 +368,20 @@ def fixed_point_set(pieces):
                 continue
         if np.linalg.norm(piece.residual(z)) > ZERO_CERT_TOL * (1.0 + np.linalg.norm(z)):
             continue
-        certified.append((piece, (B, e), z))
+        certified.append((piece, (B, e), z, svd.null_basis))
     if not certified:
         raise NoFixedPoints("no piece region meets the zero set of its "
                             "affine map (the problem has no optimum)")
-    fixed, zero_sets, witnesses = zip(*certified)
+    fixed, zero_sets, witnesses, null_bases = zip(*certified)
     first, w = fixed[0], witnesses[0]
-    s = first.proj_matrix @ w + first.proj_offset - w
+    s = first.face.project(w)[0] - w
     R = spectral_summary(next(p for p in pieces if not p.active).M).row_basis
     X = first.source
     poly = intersect(Polyhedron(X.A, X.b - X.A @ s), affine_rows(R, R @ w),
                      Polyhedron(s[None, :], [s @ w]))
     return FixedPointSetDescription(pieces=fixed, poly=poly, zero_sets=zero_sets,
-                                    representative=w.copy(), dim=w.shape[0])
+                                    representative=w.copy(), dim=w.shape[0],
+                                    null_bases=null_bases)
 
 
 def error_bound_constant(pieces, fixset):

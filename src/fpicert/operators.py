@@ -6,6 +6,11 @@ averaging parameter alpha for which the map is known to be alpha-averaged
 refuses).  Operators keep a provenance record with the exact problem data
 used to build them, so the analysis layer can reconstruct their
 piecewise-affine form instead of probing them as black boxes.
+
+``dr_piece`` is the one formula for the Douglas-Rachford map on a face
+of a polyhedral f with an affine prox of g: the analysis layer's pieces
+and the block step ``AffineDRStep`` both take it from there, so a
+certified constant is a number about the map that is iterated.
 """
 
 import math
@@ -173,35 +178,44 @@ class DRStep:
         return w + self.two_alpha * (q - p)
 
 
+def dr_piece(W, h, alpha, face):
+    """``(M, v)`` with ``w - F(w) = M w - v`` for the Douglas-Rachford
+    step ``F`` of a polyhedral f and ``prox_g(x) = W x - h``, on points
+    whose projection lands on ``face`` (a ``polyhedra.Face``, projection
+    ``(I - D) w + offset``):
+
+        M = 2a (I - W + (2W - I) D),    v = 2a ((2W - I) offset - h),
+
+    which is ``M = 2a D`` at ``W = I`` (a linear g).
+    """
+    eye = np.eye(len(W))
+    V = 2.0 * W - eye
+    return (2.0 * alpha * (eye - W + V @ face.D),
+            2.0 * alpha * (V @ face.offset - h))
+
+
 class AffineDRStep(DRStep):
     """The DR step when f is a polyhedral indicator and ``prox_g(x) = W x - h``
-    (g quadratic or linear).  While f's projector holds a face J, with
-    projection ``u - A_J^T M u + q`` (``M = G A_J``), the step is affine:
-
-        w -> T w + t,   T = I + 2a (W - I - (2W - I) A_J^T M),
-                        t = 2a ((2W - I) q - h),
-
-    built in ``O(n^2 |J|)`` when the face changes.  ``orbit`` takes a
-    block of steps with one product by ``T`` each and certifies the block
-    with one ``Projector.accept``; it keeps ``O(n^2)`` numbers cached.
+    (g quadratic or linear).  While f's projector holds a face J, the step
+    is the affine map ``w -> (I - M) w + v`` of ``dr_piece``, built when
+    the face changes.  ``orbit`` takes a block of steps with one product
+    by that map each and certifies the block with one
+    ``Projector.accept``; it keeps ``O(n^2)`` numbers cached.
     """
 
     def __init__(self, prox_f, prox_g, alpha):
         super().__init__(prox_f, prox_g, alpha)
-        W, self._h = prox_g.affine
-        eye = np.eye(len(W))
-        self._V = 2.0 * W - eye
-        self._base = eye + self.two_alpha * (W - eye)
+        self._alpha = alpha
         self._face = None  # active set of ``_Tt``
         self._length = FIRST_BLOCK
 
     def _hold(self, project):
-        """Cache ``[[T, t], [0, 1]]`` of the projector's face."""
-        AJ, M, q = project.face_map()
-        n = len(q)
+        """Cache ``[[I - M, v], [0, 1]]`` of the projector's face."""
+        M, v = dr_piece(*self.prox_g.affine, self._alpha, project.face)
+        n = len(v)
         Tt = np.zeros((n + 1, n + 1))
-        Tt[:n, :n] = self._base - self.two_alpha * ((self._V @ AJ.T) @ M)
-        Tt[:n, n] = self.two_alpha * (self._V @ q - self._h)
+        Tt[:n, :n] = np.eye(n) - M
+        Tt[:n, n] = v
         Tt[n, n] = 1.0
         self._Tt = Tt
         self._face = project.active
@@ -212,11 +226,11 @@ class AffineDRStep(DRStep):
         lengths, ending after the first step of length ``<= tol``: the
         iterates of as many calls, up to roundoff.
 
-        The rows are ``x <- T x + t`` on the projector's held face.  The
-        projector tests, under its one warm-face rule, the point each
-        row's step projects; rows are kept up to the first point it does
-        not certify, and the step from that point is one call, whose cold
-        projection moves the projector to the new face.
+        The rows are ``x <- (I - M) x + v`` on the projector's held
+        face.  The projector tests, under its one warm-face rule, the
+        point each row's step projects; rows are kept up to the first
+        point it does not certify, and the step from that point is one
+        call, whose cold projection moves the projector to the new face.
         """
         project = self.prox_f.projector
         if project.active != self._face:

@@ -14,12 +14,14 @@ Two projection routes are provided and kept deliberately independent:
   Lawson-Hanson style active-set loop on the multipliers.  Polynomial in
   practice and the default everywhere.
 
-A :class:`Projector` is the repeated-call form of ``active_set``: it
-tries the last certified active set first and accepts the result only
-if it is feasible within the cold loop's slack and its multipliers are
-nonnegative, falling back to the cold loop otherwise.  It also exposes
-the held face's affine projection and tests whole blocks of points
-against it under the same rule.
+A :class:`Face` is the one place a face's Gram inverse, multipliers and
+affine projection are formed; the piece enumeration of the analysis
+layer and the :class:`Projector` both hold faces.  A ``Projector`` is the
+repeated-call form of ``active_set``: it tries the face of the last
+certified active set first and accepts the result only if it is
+feasible within the cold loop's slack and its multipliers are
+nonnegative, falling back to the cold loop otherwise.  It also tests
+whole blocks of points against its held face under the same rule.
 """
 
 import math
@@ -175,16 +177,51 @@ def project_with_certificate(poly, u, method="active_set", tol=KKT_TOL):
     raise ValueError(f"unknown projection method {method!r}")
 
 
+@dataclass(frozen=True)
+class Face:
+    """The face ``{x : A_J x = b_J}`` of a polyhedron, for rows J with
+    ``rank(A_J) = |J|``, and its affine projection
+
+        x = u - A_J^T lam,    lam = G A_J u - G b_J,    G = inv(A_J A_J^T),
+
+    held as ``A = A_J``, ``mult = G A_J``, ``mult_rhs = G b_J`` and
+    ``offset = A_J^T G b_J``.  The empty face (J empty) is the whole space.
+    """
+
+    active: tuple
+    A: np.ndarray
+    mult: np.ndarray
+    mult_rhs: np.ndarray
+    offset: np.ndarray
+
+    @classmethod
+    def of(cls, poly, active):
+        """The face of ``poly`` with active set ``active``; raises
+        ``LinAlgError`` when ``A_J A_J^T`` is singular."""
+        J = list(active)
+        AJ, bJ = poly.A[J], poly.b[J]
+        gram_inv = np.linalg.inv(AJ @ AJ.T)
+        mult_rhs = gram_inv @ bJ
+        return cls(tuple(J), AJ, gram_inv @ AJ, mult_rhs, AJ.T @ mult_rhs)
+
+    @property
+    def D(self):
+        """``A_J^T G A_J``, the orthogonal projector onto the row space of A_J."""
+        return self.A.T @ self.mult
+
+    def project(self, U):
+        """``(points, multipliers)``: the projection onto the face's affine
+        hull of one point, or of each row of a 2-D ``U``, and its ``lam``."""
+        lam = U @ self.mult.T - self.mult_rhs
+        return U - lam @ self.A, lam
+
+
 class Projector:
     """Warm-started Euclidean projection onto one polyhedron.
 
-    Keeps the active set J of the last cold projection, with the rows
-    ``A_J``, ``b_J`` and ``G = inv(A_J A_J^T)``.  A call first tries the
-    projection onto the face ``{A_J x = b_J}``,
-
-        x = u - A_J^T lam,    lam = G A_J u - G b_J,
-
-    and returns it only if it is KKT-certified: no row violated by more
+    Keeps the :class:`Face` of the active set J of the last cold
+    projection.  A call first tries the projection onto that face and
+    returns it only if it is KKT-certified: no row violated by more
     than ``KKT_TOL * scale`` (the cold loop's feasibility slack), the
     rows of J tight to the same slack, and every multiplier ``>= 0``
     exactly (the cold loop lets a working multiplier end at ``-KKT_TOL``).
@@ -201,32 +238,21 @@ class Projector:
         self._cache(())
 
     def _cache(self, active):
-        J = list(active)
-        AJ, bJ = self.poly.A[J], self.poly.b[J]
         try:
-            gram_inv = np.linalg.inv(AJ @ AJ.T)
+            self.face = Face.of(self.poly, active)
         except np.linalg.LinAlgError:  # numerically dependent rows: no warm face
             return self._cache(())
-        self.active = tuple(J)
-        self._AJ = AJ
-        self._mult_T = (gram_inv @ AJ).T
-        self._mult_rhs = gram_inv @ bJ
+        self.active = self.face.active
         # rows of A x <= b followed by -A_J x <= -b_J: one product tests
         # feasibility and the tightness of J
-        self._C_T = np.vstack([self.poly.A, -AJ]).T
-        self._d = np.concatenate([self.poly.b, -bJ])
-
-    def face_map(self):
-        """``(A_J, M, q)`` with ``u - A_J^T M u + q`` the projection of ``u``
-        onto the held face ``{A_J x = b_J}``: ``M = G A_J``, ``q = A_J^T G b_J``."""
-        return self._AJ, self._mult_T.T, self._AJ.T @ self._mult_rhs
+        self._C_T = np.vstack([self.poly.A, -self.face.A]).T
+        self._d = np.concatenate([self.poly.b, -self.poly.b[list(self.active)]])
 
     def _warm(self, U):
         """Projections onto the held face of one point, or of each row of
         a 2-D ``U``, and whether each is KKT-certified: the one acceptance
         rule of the class."""
-        lam = U @ self._mult_T - self._mult_rhs
-        X = U - lam @ self._AJ
+        X, lam = self.face.project(U)
         slack = X @ self._C_T - self._d
         if U.ndim == 1:
             # plain floats: on these short vectors a list max beats a ufunc reduce

@@ -20,7 +20,7 @@ import numpy as np
 from . import analysis, engine, operators, problems, rates
 from .engine import STOP_RESIDUAL
 from .errors import TooShort
-from .linalg import condition_number_plus, lambda_max_psd, spectral_summary
+from .linalg import condition_number_plus, lambda_max_psd
 
 #: Default sweep radii for exposing the region where the error bound is
 #: in force.
@@ -138,59 +138,48 @@ def _radius_sweep(op, fixset, K, seed, samples=150):
     return sweep
 
 
-def verify_example_contraction(lam, samples=200, seed=0):
-    """Exactness checks for the scaled-identity contraction."""
+def _verify_example(problem, op, R, k, rho, chain, tol, samples, seed):
+    """Exactness checks of an analytic example with fixed point 0:
+    measured ``k_tilde`` and ``rho_tilde`` against their exact values
+    ``k`` and ``rho`` (each ``(label, value)``), and the ``chain`` side
+    (``"lower"`` or ``"upper"``, with its label) of the sandwich tight."""
     t0 = time.time()
-    op = problems.example_contraction_operator(lam)
-    fixset = analysis.point_fixed_set(np.zeros(1))
-    er = engine.estimate_rates(op, fixset, R=1.0, samples=samples, seed=seed)
+    fixset = analysis.point_fixed_set(np.zeros(op.dimension))
+    er = engine.estimate_rates(op, fixset, R=R, samples=samples, seed=seed)
     sw = rates.sandwich(op.alpha, er.rho_tilde, er.k_tilde)
-    checks = [
-        CheckResult("measured k_tilde equals 1/lambda",
-                    abs(er.k_tilde - 1.0 / lam) <= 1e-9,
-                    er.k_tilde, 1.0 / lam),
-        CheckResult("measured rho_tilde equals 1 - lambda",
-                    abs(er.rho_tilde - (1.0 - lam)) <= 1e-9,
-                    er.rho_tilde, 1.0 - lam),
-        CheckResult("lower chain tight: rho_tilde = 1 - 1/k_tilde",
-                    abs(er.rho_tilde - sw.rho_lower) <= 1e-9,
-                    er.rho_tilde, sw.rho_lower),
-    ]
+    side, chain_label = chain
+    rows = [(f"measured k_tilde equals {k[0]}", er.k_tilde, k[1]),
+            (f"measured rho_tilde equals {rho[0]}", er.rho_tilde, rho[1]),
+            (f"{side} chain tight: rho_tilde = {chain_label}", er.rho_tilde,
+             getattr(sw, f"rho_{side}"))]
     return ExperimentReport(
-        problem={"builtin": "example-contraction", "lambda": lam},
-        algorithm={"operator": "gd", "alpha": op.alpha},
+        problem=problem,
+        algorithm={"operator": op.provenance.algorithm, "alpha": op.alpha},
         measured={"k_tilde": er.k_tilde, "rho_tilde": er.rho_tilde,
                   "estimator": "estimate_rates", "seed": seed,
                   "sample_radius": er.sample_radius},
-        checks=checks, runtime_seconds=time.time() - t0)
+        checks=[CheckResult(name, abs(value - exact) <= tol, value, exact)
+                for name, value, exact in rows],
+        runtime_seconds=time.time() - t0)
+
+
+def verify_example_contraction(lam, samples=200, seed=0):
+    """Exactness checks for the scaled-identity contraction."""
+    return _verify_example(
+        {"builtin": "example-contraction", "lambda": lam},
+        problems.example_contraction_operator(lam), R=1.0,
+        k=("1/lambda", 1.0 / lam), rho=("1 - lambda", 1.0 - lam),
+        chain=("lower", "1 - 1/k_tilde"), tol=1e-9, samples=samples, seed=seed)
 
 
 def verify_example_rotation(theta, samples=200, seed=0):
     """Exactness checks for the half-averaged planar rotation."""
-    t0 = time.time()
-    op = problems.example_rotation_operator(theta)
-    fixset = analysis.point_fixed_set(np.zeros(2))
-    er = engine.estimate_rates(op, fixset, R=2.0, samples=samples, seed=seed)
-    sw = rates.sandwich(0.5, er.rho_tilde, er.k_tilde)
-    k_exact = 1.0 / np.sin(theta / 2.0)
-    rho_exact = float(np.cos(theta / 2.0))
-    checks = [
-        CheckResult("measured k_tilde equals 1/sin(theta/2)",
-                    abs(er.k_tilde - k_exact) <= 1e-6, er.k_tilde, k_exact),
-        CheckResult("measured rho_tilde equals cos(theta/2)",
-                    abs(er.rho_tilde - rho_exact) <= 1e-6,
-                    er.rho_tilde, rho_exact),
-        CheckResult("upper chain tight: rho_tilde = sqrt(1 - 1/k_tilde^2)",
-                    abs(er.rho_tilde - sw.rho_upper) <= 1e-6,
-                    er.rho_tilde, sw.rho_upper),
-    ]
-    return ExperimentReport(
-        problem={"builtin": "example-rotation", "theta": theta},
-        algorithm={"operator": "rotation_average", "alpha": 0.5},
-        measured={"k_tilde": er.k_tilde, "rho_tilde": er.rho_tilde,
-                  "estimator": "estimate_rates", "seed": seed,
-                  "sample_radius": er.sample_radius},
-        checks=checks, runtime_seconds=time.time() - t0)
+    return _verify_example(
+        {"builtin": "example-rotation", "theta": theta},
+        problems.example_rotation_operator(theta), R=2.0,
+        k=("1/sin(theta/2)", 1.0 / np.sin(theta / 2.0)),
+        rho=("cos(theta/2)", float(np.cos(theta / 2.0))),
+        chain=("upper", "sqrt(1 - 1/k_tilde^2)"), tol=1e-6, samples=samples, seed=seed)
 
 
 @dataclass(frozen=True)
@@ -254,13 +243,11 @@ def _lp_claims(instance, cert, fixset, K, terminal, sampled):
 
 def _null_inclusion_residual(instance, fixset):
     """Largest violation of Null(M_J) within Null(Q) and Null(A_J) over
-    the certified pieces (orthonormal null bases)."""
+    the certified pieces (their orthonormal null bases)."""
     worst = 0.0
-    for pc in fixset.pieces:
-        basis = spectral_summary(pc.M).null_basis
-        AJ = instance.X.A[list(pc.active)]
+    for pc, basis in zip(fixset.pieces, fixset.null_bases):
         worst = max(worst, float(np.abs(instance.Q @ basis).max(initial=0.0)),
-                    float(np.abs(AJ @ basis).max(initial=0.0)))
+                    float(np.abs(pc.face.A @ basis).max(initial=0.0)))
     return worst
 
 

@@ -210,9 +210,8 @@ def test_lazy_region_equals_the_explicit_formula():
             continue
         AJ, bJ = X.A[list(p.active)], X.b[list(p.active)]
         gram_inv = np.linalg.inv(AJ @ AJ.T)
-        Ad = AJ.T @ gram_inv
-        C1 = X.A @ (np.eye(n) - Ad @ AJ)
-        d1 = X.b - X.A @ (Ad @ bJ)
+        C1 = X.A @ (np.eye(n) - AJ.T @ (gram_inv @ AJ))
+        d1 = X.b - X.A @ (AJ.T @ (gram_inv @ bJ))
         keep = np.abs(C1).max(axis=1) > 1e-12
         assert np.array_equal(p.region.A, np.vstack([C1[keep], -(gram_inv @ AJ)]))
         assert np.array_equal(p.region.b, np.concatenate([d1[keep], -(gram_inv @ bJ)]))
@@ -331,7 +330,7 @@ def test_boundary_points_shared_by_parent_and_child_pieces():
         child = pieces[child_active]
         # force the dropped row's multiplier to zero inside the region
         from fpicert.polyhedra import affine_rows, intersect
-        extra = affine_rows(piece.mult_matrix[:1], piece.mult_rhs[:1])
+        extra = affine_rows(piece.face.mult[:1], piece.face.mult_rhs[:1])
         try:
             x = project_polyhedron(intersect(piece.region, extra),
                                    rng.standard_normal(3))

@@ -19,7 +19,7 @@ from fpicert import prox as fn
 from fpicert.errors import NonFinite
 from fpicert.linalg import lambda_max_psd
 from fpicert.operators import MAX_BLOCK, FixedPointOperator, Provenance, make_dr
-from fpicert.polyhedra import Polyhedron, Projector, project_polyhedron
+from fpicert.polyhedra import Face, Polyhedron, Projector, project_polyhedron
 
 CASES = {"s117": ("qp", 4, 8, 3, 117), "s106": ("qp", 3, 6, 2, 106),
          "lp-s12": ("lp", 4, 8, 0, 12)}
@@ -111,6 +111,45 @@ def test_a_face_change_ends_the_block_at_the_first_uncertified_row():
     assert np.allclose(rows[-1], starts[n] + (q - p), atol=1e-12)
     assert project.active != face
     assert r[-1] == pytest.approx(np.linalg.norm(rows[-1] - starts[n]))
+
+
+@pytest.mark.parametrize("name", ["s117", "lp-s12"])
+def test_held_faces_step_by_the_enumerated_pieces(name):
+    # the block map of every face the step holds is [[I - M_J, v_J], [0, 1]]
+    # of the enumerated piece on that face, to the last bit
+    inst, gamma, x0 = _start(name)
+    op, _ = make_dr(*problems.split_functions(inst), gamma, 0.5)
+    step = op.evaluate
+    held, hold = {}, step._hold
+
+    def record(project):
+        hold(project)
+        held[project.active] = step._Tt.copy()
+
+    step._hold = record
+    engine.iterate(op, x0, max_iters=200_000)
+    pieces = {p.active: p for p in verify.kind_setup(inst, gamma, 0.5).pieces()}
+    assert len(held) > 1
+    for active, Tt in held.items():
+        n = len(x0)
+        piece = pieces[active]
+        expected = np.zeros((n + 1, n + 1))
+        expected[:n, :n] = np.eye(n) - piece.M
+        expected[:n, n] = piece.v
+        expected[n, n] = 1.0
+        assert np.array_equal(Tt, expected), active
+
+
+def test_the_empty_face_projects_as_the_identity():
+    inst, _, _ = _start("lp-s12")
+    face = Face.of(inst.X, ())
+    U = np.random.default_rng(0).standard_normal((5, inst.dim))
+    for u in (U, U[0]):
+        points, mult = face.project(u)
+        assert np.array_equal(points, u)
+        assert mult.size == 0
+    assert np.array_equal(face.D, np.zeros((inst.dim, inst.dim)))
+    assert np.array_equal(face.offset, np.zeros(inst.dim))
 
 
 class _Overflow:
