@@ -22,7 +22,7 @@ import numpy as np
 
 from . import analysis, engine, problems, rates, verify
 from .engine import STOP_RESIDUAL
-from .errors import FpicertError, ParseError, TooLarge, ValidationError
+from .errors import FpicertError, TooLarge
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -46,16 +46,6 @@ def _angle(text):
     return (float(factor) if factor else 1.0) * math.pi / scale
 
 
-def _add_common(p):
-    p.add_argument("--alpha", type=float, default=0.5)
-    p.add_argument("--gamma", type=float, default=None)
-    p.add_argument("--rho", type=float, default=1.0)
-    p.add_argument("--lambda", dest="lam", type=float, default=0.1)
-    p.add_argument("--tol", type=float, default=1e-10)
-    p.add_argument("--max-iters", type=int, default=200_000)
-    p.add_argument("--seed", type=int, default=0)
-
-
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="fpicert",
@@ -67,14 +57,16 @@ def build_parser():
     p_solve.add_argument("problem")
     p_solve.add_argument("--algorithm", required=True,
                          choices=problems.ALGORITHMS)
-    _add_common(p_solve)
+    p_solve.add_argument("--rho", type=float, default=1.0)
+    p_solve.add_argument("--lambda", dest="lam", type=float, default=0.1)
+    p_solve.add_argument("--tol", type=float, default=1e-10)
+    p_solve.add_argument("--max-iters", type=int, default=200_000)
     p_solve.add_argument("--start-scale", type=float, default=10.0,
                          help="norm of the seeded starting point")
     p_solve.add_argument("--out", required=True, help="trace CSV path")
 
     p_an = sub.add_parser("analyze", help="piece table and certified rates")
     p_an.add_argument("problem")
-    _add_common(p_an)
     p_an.add_argument("--out", required=True, help="report path (text; a "
                       ".json twin is written next to it)")
 
@@ -92,19 +84,16 @@ def build_parser():
     p_ver.add_argument("--n", type=int, default=4)
     p_ver.add_argument("--m", type=int, default=8)
     p_ver.add_argument("--rank-q", type=int, default=None)
-    _add_common(p_ver)
     p_ver.add_argument("--radius-sweep", action="store_true",
                        help="sample the error bound at several radii")
     p_ver.add_argument("--out", required=True)
+    # each command takes only the options it reads
+    for p in (p_solve, p_an, p_ver):
+        p.add_argument("--alpha", type=float, default=0.5)
+        p.add_argument("--gamma", type=float, default=None)
+    for p in (p_solve, p_ver):
+        p.add_argument("--seed", type=int, default=0)
     return parser
-
-
-def _load(path):
-    try:
-        return problems.load(path)
-    except (ParseError, ValidationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        raise SystemExit(EXIT_INVALID)
 
 
 def _write_trace(path, trace, objective_fn):
@@ -123,15 +112,11 @@ def _write_trace(path, trace, objective_fn):
 
 
 def cmd_solve(args):
-    instance = _load(args.problem)
-    try:
-        gamma = verify.kind_setup(instance, args.gamma).gamma
-        op, extraction = problems.operator_for(
-            instance, args.algorithm, gamma=gamma, alpha=args.alpha,
-            lam=args.lam, rho=args.rho)
-    except (ValueError, FpicertError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
+    instance = problems.load(args.problem)
+    gamma = verify.kind_setup(instance, args.gamma).gamma
+    op, extraction = problems.operator_for(
+        instance, args.algorithm, gamma=gamma, alpha=args.alpha,
+        lam=args.lam, rho=args.rho)
     if args.algorithm == "pr":
         print("note: no averaged-operator guarantee for this algorithm; "
               "rate certificates do not apply", file=sys.stderr)
@@ -186,22 +171,15 @@ def _piece_table(pieces, fixset, max_eps_pieces=64):
 
 
 def cmd_analyze(args):
-    instance = _load(args.problem)
-    try:
-        setup = verify.kind_setup(instance, args.gamma, args.alpha)
-        if setup.pieces is None:
-            raise ValueError("analyze applies to lp/qp instances")
-        pieces = setup.pieces()
-        cert = setup.certificate()
-        fixset = analysis.fixed_point_set(pieces)
-        K = analysis.error_bound_constant(pieces, fixset)
-        rate = rates.rates_from_K(args.alpha, K)
-    except TooLarge as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_TOO_LARGE
-    except (ValueError, FpicertError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
+    instance = problems.load(args.problem)
+    setup = verify.kind_setup(instance, args.gamma, args.alpha)
+    if setup.pieces is None:
+        raise ValueError("analyze applies to lp/qp instances")
+    pieces = setup.pieces()
+    cert = setup.certificate()
+    fixset = analysis.fixed_point_set(pieces)
+    K = analysis.error_bound_constant(pieces, fixset)
+    rate = rates.rates_from_K(args.alpha, K)
     lines = [f"problem: {args.problem} (kind={instance.kind}, "
              f"n={instance.dim}, m={instance.X.num_rows})",
              f"params: gamma={setup.gamma} alpha={args.alpha}",
@@ -250,33 +228,23 @@ def cmd_verify(args):
             instance, gamma=args.gamma, alpha=args.alpha, seed=seed,
             radius_sweep=args.radius_sweep, truth=truth))
 
-    try:
-        if args.builtin == "example3":
-            for lam in (float(t) for t in args.lam_grid.split(",")):
-                reports.append(verify.verify_example_contraction(lam,
-                                                                 seed=args.seed))
-        elif args.builtin == "example4":
-            for theta in (_angle(t) for t in args.theta_grid.split(",")):
-                reports.append(verify.verify_example_rotation(theta,
-                                                              seed=args.seed))
-        elif args.builtin == "lp-batch":
-            for seed in seeds:
-                check(*problems.generate_lp(args.n, args.m, seed), seed)
-        elif args.builtin == "qp-batch":
-            rank_q = args.rank_q or max(1, args.n - 1)
-            for seed in seeds:
-                check(*problems.generate_qp(args.n, args.m, rank_q, seed), seed)
-        elif args.problem is not None:
-            check(_load(args.problem), None, args.seed)
-        else:
-            print("error: give a problem file or --builtin", file=sys.stderr)
-            return EXIT_INVALID
-    except TooLarge as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_TOO_LARGE
-    except (ValueError, FpicertError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
+    if args.builtin == "example3":
+        for lam in (float(t) for t in args.lam_grid.split(",")):
+            reports.append(verify.verify_example_contraction(lam, seed=args.seed))
+    elif args.builtin == "example4":
+        for theta in (_angle(t) for t in args.theta_grid.split(",")):
+            reports.append(verify.verify_example_rotation(theta, seed=args.seed))
+    elif args.builtin == "lp-batch":
+        for seed in seeds:
+            check(*problems.generate_lp(args.n, args.m, seed), seed)
+    elif args.builtin == "qp-batch":
+        rank_q = args.rank_q or max(1, args.n - 1)
+        for seed in seeds:
+            check(*problems.generate_qp(args.n, args.m, rank_q, seed), seed)
+    elif args.problem is not None:
+        check(problems.load(args.problem), None, args.seed)
+    else:
+        raise ValueError("give a problem file or --builtin")
     _write_reports(reports, args.out)
     failed = [c.name for r in reports for c in r.checks if not c.passed]
     if failed:
@@ -288,12 +256,15 @@ def cmd_verify(args):
 
 
 def main(argv=None):
+    """Run one command; the one place an error becomes an exit code."""
     args = build_parser().parse_args(argv)
-    if args.command == "solve":
-        return cmd_solve(args)
-    if args.command == "analyze":
-        return cmd_analyze(args)
-    return cmd_verify(args)
+    command = {"solve": cmd_solve, "analyze": cmd_analyze,
+               "verify": cmd_verify}[args.command]
+    try:
+        return command(args)
+    except (ValueError, FpicertError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_TOO_LARGE if isinstance(exc, TooLarge) else EXIT_INVALID
 
 
 if __name__ == "__main__":

@@ -2,10 +2,13 @@
 
 The engine is agnostic about where operators come from: anything with
 ``evaluate``, ``dimension`` and ``alpha`` attributes can be iterated.
-Distances to the fixed-point set are supplied by a fixed-set description
-object exposing ``distance(x)`` for one point and ``distances(xs)`` for
-the rows of an array; :mod:`fpicert.analysis` describes the set of the
-splitting operator on an LP or QP as one polyhedron.
+Every algorithm is run by the one loop of ``iterate``, which takes its
+steps in blocks: a step with an ``orbit`` method gives many rows per
+block, any other step one row per call.  Distances to the fixed-point
+set are supplied by a fixed-set description object exposing
+``distance(x)`` for one point and ``distances(xs)`` for the rows of an
+array; :mod:`fpicert.analysis` describes the set of the splitting
+operator on an LP or QP as one polyhedron.
 """
 
 import math
@@ -46,28 +49,14 @@ def _doubled(a):
     return np.concatenate([a, np.empty_like(a)])
 
 
-def _step_run(evaluate, x, tol, max_iters):
-    """Iterates and residuals of one call of ``evaluate`` per step."""
-    iterates = np.empty((64, x.shape[0]))
-    iterates[0] = x
-    residuals = np.empty(64)
-    k = 0
-    while k < max_iters:
+def _one_step(evaluate):
+    """An ``orbit`` of one call of ``evaluate``: a block of one row."""
+    def orbit(x, k, tol):
         x_next = np.asarray(evaluate(x), dtype=float)
         step = x_next - x
         # norm of a 1-d array, as np.linalg.norm computes it
-        r = math.sqrt(step @ step)
-        if not math.isfinite(r) and not np.all(np.isfinite(x_next)):
-            raise NonFinite("iterate left the finite range")
-        k += 1
-        if k == len(residuals):
-            iterates, residuals = _doubled(iterates), _doubled(residuals)
-        residuals[k - 1] = r
-        iterates[k] = x_next
-        x = x_next
-        if r <= tol:
-            break
-    return iterates[:k + 1], residuals[:k]
+        return x_next[None], [math.sqrt(step @ step)]
+    return orbit
 
 
 def _block_run(orbit, x, tol, max_iters):
@@ -95,12 +84,12 @@ def iterate(F, x0, residual_tol=1e-10, max_iters=200_000, fixset=None):
     """Apply ``x <- F(x)`` until the residual ``||F(x) - x||`` drops to
     ``residual_tol`` or ``max_iters`` steps have been taken.
 
-    Each step is one call of ``F.evaluate``, unless it has a method
-    ``orbit(x, k, tol)`` (the Douglas-Rachford step of an LP or QP has
-    one): that returns up to ``k`` next iterates as rows, with their
-    residuals, and ends after the first residual ``<= tol``, so steps are
-    taken in blocks that never run past ``max_iters`` or past the
-    residual stop.
+    Steps are taken in blocks by one loop.  A block is one call of
+    ``F.evaluate``, unless it has a method ``orbit(x, k, tol)`` (the
+    Douglas-Rachford step of an LP or QP has one): that returns up to
+    ``k`` next iterates as rows, with their residuals, and ends after the
+    first residual ``<= tol``, so no block runs past ``max_iters`` or
+    past the residual stop.
 
     Raises ``NonFinite`` if an iterate leaves the floating-point range,
     which signals a bug in the operator rather than expected behavior.
@@ -111,11 +100,8 @@ def iterate(F, x0, residual_tol=1e-10, max_iters=200_000, fixset=None):
     x = np.asarray(x0, dtype=float).copy()
     if x.shape != (F.dimension,):
         raise ValueError(f"x0 has shape {x.shape}, expected ({F.dimension},)")
-    orbit = getattr(F.evaluate, "orbit", None)
-    if orbit is None:
-        iterates, residuals = _step_run(F.evaluate, x, residual_tol, max_iters)
-    else:
-        iterates, residuals = _block_run(orbit, x, residual_tol, max_iters)
+    orbit = getattr(F.evaluate, "orbit", None) or _one_step(F.evaluate)
+    iterates, residuals = _block_run(orbit, x, residual_tol, max_iters)
     stopped = len(residuals) > 0 and residuals[-1] <= residual_tol
     trace = IterationTrace(
         iterates=iterates,

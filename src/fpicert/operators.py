@@ -7,6 +7,12 @@ refuses).  Operators keep a provenance record with the exact problem data
 used to build them, so the analysis layer can reconstruct their
 piecewise-affine form instead of probing them as black boxes.
 
+Each map has one constructor, and ``engine.iterate`` steps them all.
+Projected gradient is proximal gradient with the constraint indicator
+as g.  A splitting factory also returns its extraction, the map from a
+fixed point to a minimizer: the step's own prepared prox of f for DR
+and PR, ``w -> prox_f(rho w)`` for ADMM.
+
 ``dr_piece`` is the one formula for the Douglas-Rachford map on a face
 of a polyhedral f with an affine prox of g: the analysis layer's pieces
 and the block step ``AffineDRStep`` both take it from there, so a
@@ -23,8 +29,8 @@ from .errors import SingularSubproblem, StepTooLarge
 from .linalg import lambda_max_psd
 # prox and project_polyhedron are not called here; they stay importable
 # because bench/tracing.py patches them at this module
-from .prox import QUADRATIC, prox, prox_map
-from .polyhedra import Polyhedron, Projector, project_polyhedron
+from .prox import QUADRATIC, polyhedral_indicator, prox, prox_map
+from .polyhedra import project_polyhedron
 
 
 @dataclass(frozen=True)
@@ -52,16 +58,6 @@ class FixedPointOperator:
 
     def __call__(self, x):
         return self.evaluate(np.asarray(x, dtype=float))
-
-
-@dataclass(frozen=True)
-class PrimalExtraction:
-    """Map recovering an optimizer of the source problem from a fixed point."""
-
-    map: callable
-
-    def __call__(self, w):
-        return self.map(np.asarray(w, dtype=float))
 
 
 def compose_alpha(a1, a2):
@@ -122,21 +118,9 @@ def make_proximal_point(f, gamma):
 
 
 def make_gradient_projection(f, S, lam):
-    """Projected-gradient map ``proj_S(x - lam * grad f(x))``."""
-    Q, c = _gradient_data(f)
-    if not isinstance(S, Polyhedron):
-        raise TypeError("S must be a Polyhedron")
-    if S.dim != f.dimension:
-        raise ValueError("S and f live in different spaces")
-    alpha = compose_alpha(_gd_alpha(lam, lambda_max_psd(Q)), 0.5)
-    prov = Provenance("gp", {"lambda": lam}, {"f": f, "S": S})
-    project = Projector(S)
-    return FixedPointOperator(
-        dimension=f.dimension,
-        alpha=alpha,
-        evaluate=lambda x: project(x - lam * (Q @ x + c)),
-        provenance=prov,
-    )
+    """Projected-gradient map ``proj_S(x - lam * grad f(x))``: proximal
+    gradient with the indicator of ``S``, whose prox ignores gamma."""
+    return make_proximal_gradient(f, polyhedral_indicator(S), lam, 1.0)
 
 
 def make_proximal_gradient(f, g, lam, gamma):
@@ -269,8 +253,9 @@ def _dr_step(f, g, gamma, alpha):
 
 def make_dr(f, g, gamma, alpha):
     """Douglas-Rachford map ``(1-a) w + a ref(g) o ref(f) (w)`` together
-    with the extraction ``w -> prox(f, gamma, w)``, by the step's own prox
-    map of f, that recovers a minimizer of f + g from any fixed point."""
+    with the extraction ``w -> prox(f, gamma, w)``, the step's own
+    ``ProxMap`` of f, that recovers a minimizer of f + g from any fixed
+    point."""
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
     if gamma <= 0:
@@ -284,7 +269,7 @@ def make_dr(f, g, gamma, alpha):
         evaluate=_dr_step(f, g, gamma, alpha),
         provenance=prov,
     )
-    return op, PrimalExtraction(op.evaluate.prox_f)
+    return op, op.evaluate.prox_f
 
 
 def make_pr(f, g, gamma):
@@ -317,7 +302,7 @@ def make_admm_xy_split(f, g, rho):
         evaluate=lambda w: dr_eval(rho * w) / rho,
         provenance=prov,
     )
-    return op, PrimalExtraction(lambda w: dr_eval.prox_f(rho * w))
+    return op, lambda w: dr_eval.prox_f(rho * w)
 
 
 def run_admm_direct(f, g, rho, y0=None, w0=None, iters=100):

@@ -100,16 +100,15 @@ def affine_rows(E, e):
     return Polyhedron(np.vstack([E, -E]), np.concatenate([e, -e]))
 
 
-def find_feasible_point(poly):
-    """A point of ``poly``, or ``None`` when the polyhedron is empty.
-
-    Decided by a phase-1 linear program (HiGHS); this is the one place
+def _feasibility_lp(poly, J):
+    """A point of ``{x in poly : A_J x = b_J}`` by a phase-1 linear
+    program (HiGHS), or ``None`` when it is empty; this is the one place
     feasibility is certified by an external solver rather than by our
-    own projection machinery.
-    """
+    own projection machinery."""
     if poly.num_rows == 0:
         return np.zeros(poly.dim)
-    res = linprog(np.zeros(poly.dim), A_ub=poly.A, b_ub=poly.b,
+    eq = {"A_eq": poly.A[J], "b_eq": poly.b[J]} if J else {}
+    res = linprog(np.zeros(poly.dim), A_ub=poly.A, b_ub=poly.b, **eq,
                   bounds=[(None, None)] * poly.dim, method="highs")
     if res.status == 2:
         return None
@@ -118,19 +117,14 @@ def find_feasible_point(poly):
     return np.asarray(res.x, dtype=float)
 
 
+def find_feasible_point(poly):
+    """A point of ``poly``, or ``None`` when the polyhedron is empty."""
+    return _feasibility_lp(poly, [])
+
+
 def face_feasible_point(poly, active):
     """A point of the face ``{x in poly : A_J x = b_J}``, or ``None``."""
-    J = list(active)
-    if not J:
-        return find_feasible_point(poly)
-    res = linprog(np.zeros(poly.dim), A_ub=poly.A, b_ub=poly.b,
-                  A_eq=poly.A[J], b_eq=poly.b[J],
-                  bounds=[(None, None)] * poly.dim, method="highs")
-    if res.status == 2:
-        return None
-    if not res.success:
-        raise NoCertificate(f"face feasibility LP ended with status {res.status}")
-    return np.asarray(res.x, dtype=float)
+    return _feasibility_lp(poly, list(active))
 
 
 def is_empty(poly):
@@ -152,7 +146,7 @@ class ProjectionResult:
         return float(np.linalg.norm(resid)) <= tol * (1.0 + np.linalg.norm(u))
 
 
-def project_polyhedron(poly, u, method="active_set", tol=KKT_TOL):
+def project_polyhedron(poly, u, method="active_set"):
     """Euclidean projection of ``u`` onto a nonempty polyhedron.
 
     Returns the projected point.  ``method`` selects the route; both must
@@ -161,19 +155,19 @@ def project_polyhedron(poly, u, method="active_set", tol=KKT_TOL):
     when no KKT-certified candidate is found, which indicates a tolerance
     failure on badly scaled input.
     """
-    return project_with_certificate(poly, u, method=method, tol=tol).point
+    return project_with_certificate(poly, u, method=method).point
 
 
-def project_with_certificate(poly, u, method="active_set", tol=KKT_TOL):
+def project_with_certificate(poly, u, method="active_set"):
     u = np.asarray(u, dtype=float)
     if u.shape != (poly.dim,):
         raise ValueError(f"point has shape {u.shape}, expected ({poly.dim},)")
     if poly.num_rows == 0:
         return ProjectionResult(u.copy(), (), np.zeros(0))
     if method == "active_set":
-        return _project_active_set(poly, u, tol)
+        return _project_active_set(poly, u, KKT_TOL)
     if method == "brute_force":
-        return _project_brute_force(poly, u, tol)
+        return _project_brute_force(poly, u, KKT_TOL)
     raise ValueError(f"unknown projection method {method!r}")
 
 

@@ -16,10 +16,9 @@ import numpy as np
 from . import prox as fn
 from .errors import NotPSD, ParseError, ValidationError
 from .linalg import lambda_max_psd, psd_eigenvalues
-from .operators import (FixedPointOperator, PrimalExtraction, Provenance,
-                        make_admm_xy_split, make_dr, make_gd,
-                        make_gradient_projection, make_pr,
-                        make_proximal_gradient, make_proximal_point)
+from .operators import (FixedPointOperator, Provenance, make_admm_xy_split,
+                        make_dr, make_gd, make_pr, make_proximal_gradient,
+                        make_proximal_point)
 from .polyhedra import Polyhedron, find_feasible_point, whole_space
 
 KINDS = ("lp", "qp", "lasso", "prox_demo")
@@ -339,7 +338,7 @@ def operator_for(instance, algorithm, gamma=1.0, alpha=0.5, lam=0.1, rho=1.0):
         return make_dr(f, g, gamma, alpha)
     if algorithm == "pr":
         op = make_pr(f, g, gamma)
-        return op, PrimalExtraction(op.evaluate.prox_f)
+        return op, op.evaluate.prox_f
     if algorithm == "admm":
         return make_admm_xy_split(f, g, rho)
     if algorithm == "gd":
@@ -347,20 +346,17 @@ def operator_for(instance, algorithm, gamma=1.0, alpha=0.5, lam=0.1, rho=1.0):
             raise ValueError("gd needs an unconstrained smooth objective "
                              "(lasso kind with zero l1 weight)")
         return make_gd(f, lam), None
-    if algorithm == "gp":
-        if instance.kind not in ("lp", "qp"):
-            raise ValueError("gp needs polyhedral constraints")
+    if instance.kind in ("lp", "qp"):
+        # gp and pg: gradient steps on the objective, then the prox of the
+        # constraint indicator, a projection that ignores gamma (gp's 1.0)
         smooth = (fn.quadratic(np.zeros((instance.dim,) * 2), instance.c)
                   if instance.kind == "lp" else g)
-        return make_gradient_projection(smooth, instance.X, lam), None
-    # pg
+        return make_proximal_gradient(smooth, f, lam,
+                                      gamma if algorithm == "pg" else 1.0), None
+    if algorithm == "gp":
+        raise ValueError("gp needs polyhedral constraints")
     if instance.kind == "lasso":
         return make_proximal_gradient(f, g, lam, gamma), None
-    if instance.kind in ("lp", "qp"):
-        smooth = (fn.quadratic(np.zeros((instance.dim,) * 2), instance.c)
-                  if instance.kind == "lp" else g)
-        return make_proximal_gradient(smooth, fn.polyhedral_indicator(instance.X),
-                                      lam, gamma), None
     raise ValueError(f"pg does not apply to kind {instance.kind!r}")
 
 

@@ -52,13 +52,13 @@ def test_solve_exit_three_when_budget_exhausted(tiny_lp, tmp_path):
     assert rc == cli.EXIT_MAX_ITERS
 
 
-def test_solve_invalid_file_exits_two(tmp_path):
+def test_solve_invalid_file_exits_two(tmp_path, capsys):
     bad = tmp_path / "bad.txt"
     bad.write_text("A: 1 -1\nb: -1 -1\nc: 1\nkind: lp\nm: 2\nn: 1\n")
-    with pytest.raises(SystemExit) as err:
-        cli.main(["solve", str(bad), "--algorithm", "dr",
-                  "--out", str(tmp_path / "x.csv")])
-    assert err.value.code == cli.EXIT_INVALID
+    rc = cli.main(["solve", str(bad), "--algorithm", "dr",
+                   "--out", str(tmp_path / "x.csv")])
+    assert rc == cli.EXIT_INVALID
+    assert capsys.readouterr().err.startswith("error:")
 
 
 def test_analyze_reports_unit_constant(tiny_lp, tmp_path, capsys):
@@ -154,6 +154,7 @@ def test_verify_failure_exit_five(tmp_path):
     ["analyze", "{qp}", "--gamma", "0"],
     ["analyze", "{lp}", "--alpha", "1.5"],
     ["verify", "{qp}", "--alpha", "0"],
+    ["solve", "{lp}", "--algorithm", "dr", "--tol", "0"],
 ])
 def test_invalid_flags_exit_two(argv, tiny_lp, tmp_path, capsys):
     inst, _ = problems.generate_qp(3, 5, 2, seed=6)
@@ -163,6 +164,20 @@ def test_invalid_flags_exit_two(argv, tiny_lp, tmp_path, capsys):
     rc = cli.main(argv + ["--out", str(tmp_path / "r.txt")])
     assert rc == cli.EXIT_INVALID
     assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "{lp}", "--max-iters", "5"],
+    ["analyze", "{lp}", "--seed", "1"],
+    ["verify", "--builtin", "lp-batch", "--tol", "1e-3"],
+    ["verify", "--builtin", "lp-batch", "--rho", "2"],
+])
+def test_commands_reject_options_they_do_not_read(argv, tiny_lp, tmp_path, capsys):
+    argv = [a.format(lp=tiny_lp) for a in argv]
+    with pytest.raises(SystemExit) as err:
+        cli.main(argv + ["--out", str(tmp_path / "r.txt")])
+    assert err.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_verify_radius_sweep_recorded(tiny_lp, tmp_path):

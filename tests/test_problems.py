@@ -144,6 +144,23 @@ def test_operator_dispatch():
         operator_for(lp, "prox")
 
 
+@pytest.mark.parametrize("inst", [generate_lp(3, 6, 0)[0],
+                                  generate_qp(3, 6, 2, 4)[0]],
+                         ids=["lp", "qp"])
+def test_gradient_projection_is_proximal_gradient_with_the_indicator(inst):
+    # the indicator's prox is the projection onto X whatever gamma is, so
+    # gp (built at gamma 1) and pg at another gamma take the same steps
+    x0 = np.full(inst.dim, 3.0)
+    gp, _ = operator_for(inst, "gp", lam=0.1)
+    pg, _ = operator_for(inst, "pg", gamma=0.37, lam=0.1)
+    assert gp.alpha == pg.alpha
+    a = engine.iterate(gp, x0, residual_tol=1e-12, max_iters=500)
+    b = engine.iterate(pg, x0, residual_tol=1e-12, max_iters=500)
+    assert a.num_steps > 1
+    assert np.array_equal(a.iterates, b.iterates)
+    assert np.array_equal(a.residuals, b.residuals)
+
+
 def test_prox_demo_dispatch():
     inst = ProblemInstance(kind="prox_demo", c=np.zeros(2), l1_weight=1.0)
     op, _ = operator_for(inst, "prox", gamma=0.5)
