@@ -254,17 +254,13 @@ class FixedPointSetDescription:
     representative point, the pieces whose region meets it (none for a
     point set), their affine zero sets ``{B x = e}`` (orthonormal rows
     B) as ``(B, e)`` pairs and the orthonormal null bases of their maps
-    (columns, from the SVD that gave B).  ``source`` is ``"pieces"``, or
-    ``"limit"`` when a converged point stands in for the set (distances
-    are then upper bounds only).
+    (columns, from the SVD that gave B).
     """
 
     pieces: tuple
     poly: Polyhedron
     zero_sets: tuple
     representative: np.ndarray
-    dim: int
-    source: str = "pieces"
     null_bases: tuple = ()
 
     @cached_property
@@ -323,14 +319,14 @@ class FixedPointSetDescription:
         return out
 
 
-def point_fixed_set(x, source="pieces"):
-    """Fixed-set description for the singleton {x}; ``source="limit"``
-    marks a converged limit used as a distance proxy."""
+def point_fixed_set(x):
+    """Fixed-set description for the singleton {x}, also used with a
+    converged limit as a distance proxy (an upper bound)."""
     x = np.asarray(x, dtype=float)
     n = x.shape[0]
     return FixedPointSetDescription(pieces=(), poly=affine_rows(np.eye(n), x),
                                     zero_sets=((np.eye(n), x.copy()),),
-                                    representative=x.copy(), dim=n, source=source)
+                                    representative=x.copy())
 
 
 def fixed_point_set(pieces):
@@ -380,8 +376,7 @@ def fixed_point_set(pieces):
     poly = intersect(Polyhedron(X.A, X.b - X.A @ s), affine_rows(R, R @ w),
                      Polyhedron(s[None, :], [s @ w]))
     return FixedPointSetDescription(pieces=fixed, poly=poly, zero_sets=zero_sets,
-                                    representative=w.copy(), dim=w.shape[0],
-                                    null_bases=null_bases)
+                                    representative=w.copy(), null_bases=null_bases)
 
 
 def error_bound_constant(pieces, fixset):

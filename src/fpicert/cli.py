@@ -113,7 +113,7 @@ def _write_trace(path, trace, objective_fn):
 
 def cmd_solve(args):
     instance = problems.load(args.problem)
-    gamma = verify.kind_setup(instance, args.gamma).gamma
+    gamma = verify.default_gamma(instance) if args.gamma is None else args.gamma
     op, extraction = problems.operator_for(
         instance, args.algorithm, gamma=gamma, alpha=args.alpha,
         lam=args.lam, rho=args.rho)
@@ -127,9 +127,7 @@ def cmd_solve(args):
                            max_iters=args.max_iters)
     # distances from the converged limit: an upper bound on the true
     # distance, recorded as such
-    fixset = analysis.point_fixed_set(trace.limit, source="limit")
-    trace.dist_to_fix = fixset.distances(trace.iterates)
-    trace.distance_source = "limit"
+    trace.dist_to_fix = analysis.point_fixed_set(trace.limit).distances(trace.iterates)
     solution = extraction(trace.limit) if extraction is not None else trace.limit
 
     def objective_fn(x):
@@ -138,12 +136,11 @@ def cmd_solve(args):
 
     _write_trace(args.out, trace, objective_fn)
     meta = {"problem": args.problem, "algorithm": args.algorithm,
-            "params": {"alpha": args.alpha, "gamma": gamma, "rho": args.rho,
-                       "lambda": args.lam, "tol": args.tol,
+            "params": {**op.provenance.params, "tol": args.tol,
                        "max_iters": args.max_iters, "seed": args.seed,
                        "start_scale": args.start_scale},
             "stop_reason": trace.stop_reason, "steps": trace.num_steps,
-            "distance_source": trace.distance_source,
+            "distance_source": "limit",
             "solution": [float(v) for v in solution],
             "objective": instance.objective(solution)}
     with open(args.out + ".meta.json", "w") as fh:
@@ -172,17 +169,12 @@ def _piece_table(pieces, fixset, max_eps_pieces=64):
 
 def cmd_analyze(args):
     instance = problems.load(args.problem)
-    setup = verify.kind_setup(instance, args.gamma, args.alpha)
-    if setup.pieces is None:
-        raise ValueError("analyze applies to lp/qp instances")
-    pieces = setup.pieces()
-    cert = setup.certificate()
-    fixset = analysis.fixed_point_set(pieces)
-    K = analysis.error_bound_constant(pieces, fixset)
+    gamma = verify.default_gamma(instance) if args.gamma is None else args.gamma
+    pieces, fixset, K, cert, _ = verify.certify(instance, gamma, args.alpha)
     rate = rates.rates_from_K(args.alpha, K)
     lines = [f"problem: {args.problem} (kind={instance.kind}, "
              f"n={instance.dim}, m={instance.X.num_rows})",
-             f"params: gamma={setup.gamma} alpha={args.alpha}",
+             f"params: gamma={gamma} alpha={args.alpha}",
              "",
              *_piece_table(pieces, fixset),
              "",
@@ -195,7 +187,7 @@ def cmd_analyze(args):
     with open(args.out, "w") as fh:
         fh.write(text)
     payload = {"problem": args.problem, "kind": instance.kind,
-               "gamma": setup.gamma, "alpha": args.alpha,
+               "gamma": gamma, "alpha": args.alpha,
                "K": K, "K_closed_form": cert.K, "certificate": cert.source,
                "pieces": [{"active": list(p.active),
                            "sigma_min_plus": p.sigma_min_plus,

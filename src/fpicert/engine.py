@@ -27,9 +27,7 @@ class IterationTrace:
     """Iterates of one fixed-point run with per-step residuals.
 
     ``dist_to_fix`` is filled only when a fixed-set description was
-    available; ``distance_source`` records whether those distances came
-    from the piecewise description (``"pieces"``) or from the converged
-    limit point (``"limit"``, an upper bound on the true distance).
+    available.
     """
 
     iterates: np.ndarray
@@ -37,7 +35,6 @@ class IterationTrace:
     limit: np.ndarray
     stop_reason: str
     dist_to_fix: np.ndarray | None = None
-    distance_source: str | None = None
     aux: dict = field(default_factory=dict)
 
     @property
@@ -111,7 +108,6 @@ def iterate(F, x0, residual_tol=1e-10, max_iters=200_000, fixset=None):
     )
     if fixset is not None:
         trace.dist_to_fix = fixset.distances(trace.iterates)
-        trace.distance_source = getattr(fixset, "source", "pieces")
     return trace
 
 

@@ -3,9 +3,8 @@
 Each factory returns a :class:`FixedPointOperator` carrying the smallest
 averaging parameter alpha for which the map is known to be alpha-averaged
 (alpha = 1 marks a merely nonexpansive map, which the rate machinery
-refuses).  Operators keep a provenance record with the exact problem data
-used to build them, so the analysis layer can reconstruct their
-piecewise-affine form instead of probing them as black boxes.
+refuses).  Operators keep a provenance record: the algorithm and the
+parameters it read, which ``fpicert solve`` writes to its metadata.
 
 Each map has one constructor, and ``engine.iterate`` steps them all.
 Projected gradient is proximal gradient with the constraint indicator
@@ -35,11 +34,10 @@ from .polyhedra import project_polyhedron
 
 @dataclass(frozen=True)
 class Provenance:
-    """Which algorithm and problem data produced an operator."""
+    """Which algorithm, with which parameters, produced an operator."""
 
     algorithm: str
     params: dict = field(default_factory=dict)
-    data: dict = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -47,14 +45,13 @@ class FixedPointOperator:
     """An evaluable self-map of R^n with its averaging parameter.
 
     ``alpha`` in (0, 1) means the operator is alpha-averaged; alpha = 1
-    flags a nonexpansive-only map (``averaged`` False).
+    flags a nonexpansive-only map.
     """
 
     dimension: int
     alpha: float
     evaluate: callable
     provenance: Provenance
-    averaged: bool = True
 
     def __call__(self, x):
         return self.evaluate(np.asarray(x, dtype=float))
@@ -93,22 +90,19 @@ def make_gd(f, lam):
     Q, c = _gradient_data(f)
     if lam <= 0:
         raise ValueError("lambda must be positive")
-    lmax = lambda_max_psd(Q)
-    alpha = _gd_alpha(lam, lmax)
-    averaged = alpha > 0.0
-    prov = Provenance("gd", {"lambda": lam}, {"f": f})
+    alpha = _gd_alpha(lam, lambda_max_psd(Q))
+    prov = Provenance("gd", {"lambda": lam})
     return FixedPointOperator(
         dimension=f.dimension,
-        alpha=alpha if averaged else 1.0,
+        alpha=alpha if alpha > 0.0 else 1.0,  # Q = 0: a translation, flagged
         evaluate=lambda x: x - lam * (Q @ x + c),
         provenance=prov,
-        averaged=averaged,
     )
 
 
 def make_proximal_point(f, gamma):
     """Proximal-point map ``prox(f, gamma, .)``; 1/2-averaged."""
-    prov = Provenance("prox", {"gamma": gamma}, {"f": f})
+    prov = Provenance("prox", {"gamma": gamma})
     return FixedPointOperator(
         dimension=f.dimension,
         alpha=0.5,
@@ -129,7 +123,7 @@ def make_proximal_gradient(f, g, lam, gamma):
     if g.dimension != f.dimension:
         raise ValueError("f and g live in different spaces")
     alpha = compose_alpha(_gd_alpha(lam, lambda_max_psd(Q)), 0.5)
-    prov = Provenance("pg", {"lambda": lam, "gamma": gamma}, {"f": f, "g": g})
+    prov = Provenance("pg", {"lambda": lam, "gamma": gamma})
     prox_g = prox_map(g, gamma)
     return FixedPointOperator(
         dimension=f.dimension,
@@ -180,11 +174,11 @@ def dr_piece(W, h, alpha, face):
 
 class AffineDRStep(DRStep):
     """The DR step when f is a polyhedral indicator and ``prox_g(x) = W x - h``
-    (g quadratic or linear).  While f's projector holds a face J, the step
-    is the affine map ``w -> (I - M) w + v`` of ``dr_piece``, built when
-    the face changes.  ``orbit`` takes a block of steps with one product
-    by that map each and certifies the block with one
-    ``Projector.accept``; it keeps ``O(n^2)`` numbers cached.
+    (g quadratic; a linear g has ``W = I``).  While f's projector holds a
+    face J, the step is the affine map ``w -> (I - M) w + v`` of
+    ``dr_piece``, built when the face changes.  ``orbit`` takes a block of
+    steps with one product by that map each and certifies the block with
+    one ``Projector.accept``; it keeps ``O(n^2)`` numbers cached.
     """
 
     def __init__(self, prox_f, prox_g, alpha):
@@ -262,7 +256,7 @@ def make_dr(f, g, gamma, alpha):
         raise ValueError("gamma must be positive")
     if f.dimension != g.dimension:
         raise ValueError("f and g live in different spaces")
-    prov = Provenance("dr", {"gamma": gamma, "alpha": alpha}, {"f": f, "g": g})
+    prov = Provenance("dr", {"gamma": gamma, "alpha": alpha})
     op = FixedPointOperator(
         dimension=f.dimension,
         alpha=alpha,
@@ -276,13 +270,12 @@ def make_pr(f, g, gamma):
     """Peaceman-Rachford map ``ref(g) o ref(f)``: the alpha = 1 limit of
     Douglas-Rachford.  Nonexpansive but not averaged, so no rate
     certificate applies; its fixed points coincide with DR's."""
-    prov = Provenance("pr", {"gamma": gamma}, {"f": f, "g": g})
+    prov = Provenance("pr", {"gamma": gamma})
     return FixedPointOperator(
         dimension=f.dimension,
         alpha=1.0,
         evaluate=_dr_step(f, g, gamma, 1.0),
         provenance=prov,
-        averaged=False,
     )
 
 
@@ -295,7 +288,7 @@ def make_admm_xy_split(f, g, rho):
     if rho <= 0:
         raise ValueError("rho must be positive")
     dr_eval = DRStep(prox_map(f, rho), prox_map(g, rho), 0.5)
-    prov = Provenance("admm", {"rho": rho}, {"f": f, "g": g})
+    prov = Provenance("admm", {"rho": rho})
     op = FixedPointOperator(
         dimension=f.dimension,
         alpha=0.5,

@@ -4,8 +4,8 @@ planted optima, and the built-in analytic test operators.
 File format: one ``key: values`` line per field, matrices flattened
 row-major, floats printed with ``%.17g``.  The canonical serialization
 sorts keys, so ``save(load(path))`` reproduces a canonicalized file
-byte for byte.  Fields: ``kind,n,m``, optional ``Q,c,A,b,l1_weight,
-name,seed``.
+byte for byte.  Fields: ``kind,n,m,c``, optional ``name,seed``, and
+the fields of the kind's row of ``KIND_FIELDS``.
 """
 
 import io
@@ -21,7 +21,14 @@ from .operators import (FixedPointOperator, Provenance, make_admm_xy_split,
                         make_proximal_point)
 from .polyhedra import Polyhedron, find_feasible_point, whole_space
 
-KINDS = ("lp", "qp", "lasso", "prox_demo")
+#: Per kind: the optional fields it reads, and those of them it requires.
+#: A file with any other field is rejected.
+KIND_FIELDS = {"lp": ({"A", "b"}, set()),
+               "qp": ({"Q", "A", "b"}, {"Q"}),
+               "lasso": ({"Q", "l1_weight"}, {"l1_weight"}),
+               "prox_demo": ({"Q", "l1_weight"}, set())}
+KINDS = tuple(KIND_FIELDS)
+COMMON_FIELDS = {"kind", "n", "m", "c", "name", "seed"}
 
 
 @dataclass(frozen=True)
@@ -57,7 +64,6 @@ class GeneratedTruth:
     """Planted optimum of a generated instance."""
 
     known_optimum: np.ndarray | None
-    construction_note: str
 
 
 def _fmt_floats(arr):
@@ -124,7 +130,8 @@ def load(path):
 
     Raises ``ParseError`` for malformed text and ``ValidationError``
     (with reason ``infeasible`` / ``not_psd`` / ``shape_mismatch`` and
-    the offending field) for semantic problems.
+    the offending field) for semantic problems, among them a field the
+    kind does not read or a required one missing (``KIND_FIELDS``).
     """
     with open(path) as fh:
         fields = _parse_fields(fh.read(), path)
@@ -135,6 +142,12 @@ def load(path):
     if kind not in KINDS:
         raise ValidationError("shape_mismatch", "kind",
                               f"unknown kind {kind!r}; expected one of {KINDS}")
+    reads, requires = KIND_FIELDS[kind]
+    for key in sorted(fields.keys() - COMMON_FIELDS - reads):
+        raise ValidationError("shape_mismatch", key,
+                              f"{kind} instances do not read {key!r}")
+    for key in sorted(requires - fields.keys()):
+        raise ValidationError("shape_mismatch", key, f"{kind} requires {key!r}")
     try:
         n = int(fields["n"])
         m = int(fields["m"])
@@ -152,13 +165,13 @@ def load(path):
         except NotPSD as exc:
             raise ValidationError("not_psd", "Q", str(exc)) from exc
     X = None
-    if m > 0:
+    if m > 0 or "A" in fields or "b" in fields:  # m = 0 takes empty A and b
         if "A" not in fields or "b" not in fields:
-            raise ParseError(f"{path}: m > 0 requires fields 'A' and 'b'")
+            raise ParseError(f"{path}: constraints need both fields 'A' and 'b'")
         A = _floats(fields, "A", m * n, path).reshape(m, n)
         b = _floats(fields, "b", m, path)
         X = Polyhedron(A, b)
-    elif kind in ("lp", "qp"):
+    elif "A" in reads:
         X = whole_space(n)  # unconstrained instance
     l1_weight = None
     if "l1_weight" in fields:
@@ -167,20 +180,10 @@ def load(path):
             raise ValidationError("shape_mismatch", "l1_weight",
                                   "must be nonnegative")
 
-    if kind == "lp" and Q is not None:
-        raise ValidationError("shape_mismatch", "Q", "lp instances have no Q")
-    if kind == "qp":
-        if Q is None:
-            raise ValidationError("shape_mismatch", "Q", "qp requires Q")
-        if lambda_max_psd(Q) <= 0.0:
-            raise ValidationError("not_psd", "Q", "qp requires a nonzero Q")
-    if kind == "lasso" and l1_weight is None:
-        raise ValidationError("shape_mismatch", "l1_weight",
-                              "lasso requires l1_weight")
-    if kind in ("lp", "qp"):
-        if X.num_rows and find_feasible_point(X) is None:
-            raise ValidationError("infeasible", "A",
-                                  "the constraint polyhedron is empty")
+    if kind == "qp" and lambda_max_psd(Q) <= 0.0:
+        raise ValidationError("not_psd", "Q", "qp requires a nonzero Q")
+    if X is not None and X.num_rows and find_feasible_point(X) is None:
+        raise ValidationError("infeasible", "A", "the constraint polyhedron is empty")
     return ProblemInstance(kind=kind, c=c, Q=Q, X=X, l1_weight=l1_weight,
                            name=fields.get("name", ""),
                            seed=int(fields["seed"]) if "seed" in fields else None)
@@ -222,9 +225,7 @@ def generate_lp(n, m, seed):
     A, b = _planted_constraints(rng, n, m, x_star, B)
     inst = ProblemInstance(kind="lp", c=c, X=Polyhedron(A, b),
                            name=f"lp-n{n}-m{m}-s{seed}", seed=seed)
-    note = (f"planted optimum with {k} active rows and duals in "
-            f"[0.5, 1.5]; objective normal points into the active cone")
-    return inst, GeneratedTruth(x_star, note)
+    return inst, GeneratedTruth(x_star)
 
 
 def generate_qp(n, m, rank_q, seed, kappa_plus=4.0):
@@ -252,7 +253,7 @@ def generate_qp(n, m, rank_q, seed, kappa_plus=4.0):
         c = -Q @ x_star
         inst = ProblemInstance(kind="qp", c=c, Q=Q, X=whole_space(n),
                                name=f"qp-n{n}-m0-r{rank_q}-s{seed}", seed=seed)
-        return inst, GeneratedTruth(x_star, "unconstrained; optimum -inv(Q) c")
+        return inst, GeneratedTruth(x_star)
     k = int(rng.integers(1, min(n, m) + 1))
     B = _active_block(rng, n, k)
     y = rng.uniform(0.5, 1.5, size=k)
@@ -260,9 +261,7 @@ def generate_qp(n, m, rank_q, seed, kappa_plus=4.0):
     A, b = _planted_constraints(rng, n, m, x_star, B)
     inst = ProblemInstance(kind="qp", c=c, Q=Q, X=Polyhedron(A, b),
                            name=f"qp-n{n}-m{m}-r{rank_q}-s{seed}", seed=seed)
-    note = (f"Q = V diag(geomspace(1, 1/{kappa_plus}, {rank_q}), 0...) V'; "
-            f"{k} active rows, duals in [0.5, 1.5]")
-    return inst, GeneratedTruth(x_star, note)
+    return inst, GeneratedTruth(x_star)
 
 
 def example_contraction_operator(lam, dim=1):
@@ -301,21 +300,22 @@ ALGORITHMS = ("gd", "prox", "gp", "pg", "dr", "pr", "admm")
 
 def split_functions(instance):
     """The (f, g) pair the splitting algorithms minimize: constraint
-    indicator first for constrained kinds, smooth part first for lasso."""
+    indicator first for constrained kinds, smooth part first for lasso.
+    The smooth part is ``quadratic(Q, c)``, with ``Q = 0`` when absent
+    (an LP's linear objective)."""
+    n = instance.dim
+    smooth = fn.quadratic(instance.Q if instance.Q is not None else np.zeros((n, n)),
+                          instance.c)
     if instance.kind in ("lp", "qp"):
-        f = fn.polyhedral_indicator(instance.X)
-        g = (fn.linear(instance.c) if instance.kind == "lp"
-             else fn.quadratic(instance.Q, instance.c))
-        return f, g
+        return fn.polyhedral_indicator(instance.X), smooth
     if instance.kind == "lasso":
-        Q = instance.Q if instance.Q is not None else np.zeros((instance.dim,) * 2)
-        return fn.quadratic(Q, instance.c), fn.l1(instance.l1_weight, instance.dim)
+        return smooth, fn.l1(instance.l1_weight, n)
     if instance.kind == "prox_demo":
         if instance.Q is not None:
-            return fn.quadratic(instance.Q, instance.c), None
+            return smooth, None
         if instance.l1_weight is None or np.any(instance.c != 0.0):
             raise ValueError("prox_demo needs Q, or l1_weight with c = 0")
-        return fn.l1(instance.l1_weight, instance.dim), None
+        return fn.l1(instance.l1_weight, n), None
     raise ValueError(f"unknown kind {instance.kind!r}")
 
 
@@ -349,9 +349,7 @@ def operator_for(instance, algorithm, gamma=1.0, alpha=0.5, lam=0.1, rho=1.0):
     if instance.kind in ("lp", "qp"):
         # gp and pg: gradient steps on the objective, then the prox of the
         # constraint indicator, a projection that ignores gamma (gp's 1.0)
-        smooth = (fn.quadratic(np.zeros((instance.dim,) * 2), instance.c)
-                  if instance.kind == "lp" else g)
-        return make_proximal_gradient(smooth, f, lam,
+        return make_proximal_gradient(g, f, lam,
                                       gamma if algorithm == "pg" else 1.0), None
     if algorithm == "gp":
         raise ValueError("gp needs polyhedral constraints")

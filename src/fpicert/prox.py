@@ -12,8 +12,8 @@ work:
 kind                        prepared once / per point
 ==========================  =================================================
 quadratic  0.5 x'Qx + c'x   ``W = inv(gamma*Q + I)``, ``W gamma c`` /
-                            ``W x - W gamma c``
-linear     c'x              ``gamma*c`` / ``x - gamma*c``
+                            ``W x - W gamma c``; a linear ``c'x`` is
+                            ``Q = 0``, so ``W = I``
 polyhedral indicator        a warm-started :class:`~fpicert.polyhedra.Projector`
                             onto ``{x : A x <= b}``
 weighted l1                 soft-thresholding at ``gamma*weight``
@@ -33,7 +33,6 @@ from .linalg import as_matrix, psd_eigenvalues
 from .polyhedra import Polyhedron, Projector, project_polyhedron
 
 QUADRATIC = "quadratic"
-LINEAR = "linear"
 POLYHEDRAL_INDICATOR = "polyhedral_indicator"
 L1 = "l1"
 BOX_INDICATOR = "box_indicator"
@@ -63,9 +62,10 @@ def quadratic(Q, c):
 
 
 def linear(c):
-    """``f(x) = c'x``."""
+    """``f(x) = c'x``: the quadratic with ``Q = 0``, whose prox is
+    exactly ``x - gamma*c``."""
     c = np.atleast_1d(np.asarray(c, dtype=float))
-    return PLQFunctionSpec(LINEAR, c.shape[0], {"c": c})
+    return quadratic(np.zeros((c.shape[0],) * 2), c)
 
 
 def polyhedral_indicator(poly):
@@ -99,8 +99,6 @@ def function_value(f, x):
     x = np.asarray(x, dtype=float)
     if f.kind == QUADRATIC:
         return 0.5 * x @ f.data["Q"] @ x + f.data["c"] @ x
-    if f.kind == LINEAR:
-        return float(f.data["c"] @ x)
     if f.kind == POLYHEDRAL_INDICATOR:
         return 0.0 if f.data["poly"].contains(x) else np.inf
     if f.kind == L1:
@@ -115,8 +113,8 @@ def function_value(f, x):
 @dataclass(frozen=True)
 class ProxMap:
     """A prepared proximal map of a ``dimension``-vector.  ``affine`` is
-    ``(W, h)`` with ``prox(x) = W x - h`` for the quadratic and linear
-    kinds, else ``None``."""
+    ``(W, h)`` with ``prox(x) = W x - h`` for the quadratic kind, else
+    ``None``."""
 
     dimension: int
     body: callable
@@ -152,12 +150,6 @@ def prox_map(f, gamma):
 
         def body(x):
             return W @ x - Wgc
-    elif f.kind == LINEAR:
-        gc = gamma * f.data["c"]
-        affine = (np.eye(n), gc)
-
-        def body(x):
-            return x - gc
     elif f.kind == POLYHEDRAL_INDICATOR:
         body = Projector(f.data["poly"])
     elif f.kind == L1:

@@ -3,8 +3,9 @@ problem or builtin example, producing a report with explicit pass/fail
 lines.
 
 LPs and QPs share one verification function, ``verify_splitting``
-(also bound as ``verify_lp`` and ``verify_qp``); ``kind_setup`` is the
-one place that knows what differs between the two kinds.
+(also bound as ``verify_lp`` and ``verify_qp``).  ``default_gamma`` and
+``certify`` are the one place that knows what differs between the two
+kinds; ``fpicert analyze`` certifies through the same ``certify``.
 
 Every certified value in a report names the certificate that produced
 it; every measured value names its estimator and seed and is labeled as
@@ -182,44 +183,33 @@ def verify_example_rotation(theta, samples=200, seed=0):
         chain=("upper", "sqrt(1 - 1/k_tilde^2)"), tol=1e-6, samples=samples, seed=seed)
 
 
-@dataclass(frozen=True)
-class KindSetup:
-    """The kind-dependent parts of certifying an instance (see
-    ``kind_setup``); only ``gamma`` is set for kinds without pieces."""
-
-    gamma: float
-    pieces: callable = None
-    certificate: callable = None
-    claims: callable = None
-
-
-def kind_setup(instance, gamma=None, alpha=0.5):
-    """The one mapping from ``instance.kind`` to the default ``gamma``,
-    the piece enumerator, the closed-form certificate, and the checks and
-    report fields only that kind has (``_lp_claims``/``_qp_claims``).
-
-    ``gamma=None`` means the kind's default: 1 for an LP, and for a QP
-    the value with ``gamma * lambda_max(Q) = 1/2``.  A QP's
-    ``lambda_max`` is computed here and its ``kappa_plus`` in
-    ``certificate()``.
-    """
-    if instance.kind == "lp":
-        gamma = 1.0 if gamma is None else gamma
-        return KindSetup(
-            gamma, claims=_lp_claims,
-            pieces=lambda: analysis.enumerate_pieces_lp(instance.X, instance.c,
-                                                        gamma, alpha),
-            certificate=lambda: rates.lp_certificate(alpha))
+def default_gamma(instance):
+    """The kind's default ``gamma``: for a QP the value with
+    ``gamma * lambda_max(Q) = 1/2``, else 1."""
     if instance.kind == "qp":
-        lam_max = lambda_max_psd(instance.Q)
-        gamma = 0.5 / lam_max if gamma is None else gamma
-        return KindSetup(
-            gamma, claims=_qp_claims,
-            pieces=lambda: analysis.enumerate_pieces_qp(instance.X, instance.Q,
-                                                        instance.c, gamma, alpha),
-            certificate=lambda: rates.qp_certificate(
-                alpha, gamma, lam_max, condition_number_plus(instance.Q)))
-    return KindSetup(1.0 if gamma is None else gamma)
+        return 0.5 / lambda_max_psd(instance.Q)
+    return 1.0
+
+
+def certify(instance, gamma, alpha):
+    """Certify the Douglas-Rachford operator of an LP or QP: returns
+    ``(pieces, fixset, K, cert, claims)``, the pieces of its residual
+    map, its fixed-point set, the error-bound constant, the kind's
+    closed-form certificate, and ``claims``, the checks and report fields
+    only that kind has (``_lp_claims``/``_qp_claims``)."""
+    if instance.kind == "lp":
+        cert, claims = rates.lp_certificate(alpha), _lp_claims
+        pieces = analysis.enumerate_pieces_lp(instance.X, instance.c, gamma, alpha)
+    elif instance.kind == "qp":
+        cert = rates.qp_certificate(alpha, gamma, lambda_max_psd(instance.Q),
+                                    condition_number_plus(instance.Q))
+        claims = _qp_claims
+        pieces = analysis.enumerate_pieces_qp(instance.X, instance.Q, instance.c,
+                                              gamma, alpha)
+    else:
+        raise ValueError("certification applies to lp/qp instances")
+    fixset = analysis.fixed_point_set(pieces)
+    return pieces, fixset, analysis.error_bound_constant(pieces, fixset), cert, claims
 
 
 def _lp_claims(instance, cert, fixset, K, terminal, sampled):
@@ -284,19 +274,14 @@ def verify_splitting(instance, gamma=None, alpha=0.5, seed=0,
     an LP or QP, started 30 away from the fixed-point set; ``gamma=None``
     takes the kind's default."""
     t0 = time.time()
-    setup = kind_setup(instance, gamma, alpha)
-    if setup.pieces is None:
-        raise ValueError("verify applies to lp/qp instances or builtins")
+    gamma = default_gamma(instance) if gamma is None else gamma
+    _, fixset, K, cert, claims = certify(instance, gamma, alpha)
     f, g = problems.split_functions(instance)
-    op, extraction = operators.make_dr(f, g, setup.gamma, alpha)
-    pieces = setup.pieces()
-    fixset = analysis.fixed_point_set(pieces)
+    op, extraction = operators.make_dr(f, g, gamma, alpha)
     direction = np.random.default_rng(seed).standard_normal(instance.dim)
     direction /= np.linalg.norm(direction)
     trace = engine.iterate(op, fixset.representative + 30.0 * direction,
                            residual_tol=1e-10, max_iters=MAX_ITERS, fixset=fixset)
-    K = analysis.error_bound_constant(pieces, fixset)
-    cert = setup.certificate()
     er = engine.estimate_rates(op, fixset,
                                R=1e-3 * (1.0 + np.linalg.norm(trace.limit)),
                                samples=200, seed=seed)
@@ -307,7 +292,7 @@ def verify_splitting(instance, gamma=None, alpha=0.5, seed=0,
     sampled = CheckResult("sampled dist/residual ratio within certified constant",
                           er.k_tilde <= K * (1.0 + 1e-6), er.k_tilde, K,
                           f"R={er.sample_radius:.3g}, seed={er.seed}")
-    problem_fields, certified_fields, checks = setup.claims(
+    problem_fields, certified_fields, checks = claims(
         instance, cert, fixset, K, (fit, fit_mode), sampled)
     checks += [
         CheckResult("per-step distance contraction where error bound holds",
@@ -338,7 +323,7 @@ def verify_splitting(instance, gamma=None, alpha=0.5, seed=0,
         problem={"kind": instance.kind, "name": instance.name, "n": instance.dim,
                  "m": instance.X.num_rows, "seed": instance.seed,
                  **problem_fields},
-        algorithm={"operator": "dr", "gamma": setup.gamma, "alpha": alpha},
+        algorithm={"operator": "dr", "gamma": gamma, "alpha": alpha},
         certified={"K": K, "K_source": "error_bound_constant(pieces)",
                    "K_closed_form": cert.K, **certified_fields,
                    "certificate": cert.source,

@@ -542,9 +542,8 @@ def test_error_bound_constant_requires_fixed_points():
 
 
 def test_point_fixed_set_distance():
-    fs = point_fixed_set(np.array([1.0, 2.0]), source="limit")
+    fs = point_fixed_set(np.array([1.0, 2.0]))
     assert fs.distance(np.array([1.0, 5.0])) == pytest.approx(3.0)
-    assert fs.source == "limit"
 
 
 def test_estimate_min_residual_positive_off_fixed_pieces():

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,11 +22,25 @@ def test_solve_converges_and_extracts_optimum(tiny_lp, tmp_path, capsys):
     rc = cli.main(["solve", tiny_lp, "--algorithm", "dr", "--alpha", "0.5",
                    "--gamma", "1.0", "--out", out])
     assert rc == cli.EXIT_OK
-    meta = json.loads(open(out + ".meta.json").read())
+    meta = json.loads(Path(out + ".meta.json").read_text())
     assert meta["stop_reason"] == "residual_tol"
     assert abs(meta["solution"][0]) <= 1e-6
-    header = open(out).readline().strip()
+    header = Path(out).read_text().splitlines()[0]
     assert header == "iter,residual,dist_to_fix,objective"
+
+
+@pytest.mark.parametrize("algorithm, params", [
+    ("gp", {"gamma": 1.0, "lambda": 0.1}),
+    ("admm", {"rho": 2.0}),
+])
+def test_solve_meta_records_the_parameters_read(algorithm, params, tiny_lp, tmp_path):
+    # gp projects at gamma 1 whatever --gamma says, and admm reads only rho
+    out = tmp_path / "trace.csv"
+    cli.main(["solve", tiny_lp, "--algorithm", algorithm, "--gamma", "0.3",
+              "--rho", "2", "--out", str(out)])
+    meta = json.loads((tmp_path / "trace.csv.meta.json").read_text())
+    assert meta["params"] == {**params, "tol": 1e-10, "max_iters": 200_000,
+                              "seed": 0, "start_scale": 10.0}
 
 
 def test_solve_trace_deterministic(tiny_lp, tmp_path):
@@ -34,7 +49,7 @@ def test_solve_trace_deterministic(tiny_lp, tmp_path):
         rc = cli.main(["solve", tiny_lp, "--algorithm", "dr", "--seed", "7",
                        "--out", out])
         assert rc == cli.EXIT_OK
-    assert open(out1).read() == open(out2).read()
+    assert Path(out1).read_text() == Path(out2).read_text()
 
 
 def test_solve_pr_warns_about_missing_guarantee(tiny_lp, tmp_path, capsys):
@@ -66,10 +81,10 @@ def test_analyze_reports_unit_constant(tiny_lp, tmp_path, capsys):
     rc = cli.main(["analyze", tiny_lp, "--alpha", "0.5", "--gamma", "1.0",
                    "--out", out])
     assert rc == cli.EXIT_OK
-    payload = json.loads(open(out + ".json").read())
+    payload = json.loads(Path(out + ".json").read_text())
     assert payload["K"] == pytest.approx(1.0, abs=1e-12)
     assert any(p["meets_fixed_set"] for p in payload["pieces"])
-    text = open(out).read()
+    text = Path(out).read_text()
     assert "K (max piece bound" in text
 
 
@@ -80,7 +95,7 @@ def test_analyze_qp_reports_both_constants(tmp_path):
     out = str(tmp_path / "qp_report.txt")
     rc = cli.main(["analyze", str(path), "--alpha", "0.5", "--out", out])
     assert rc == cli.EXIT_OK
-    payload = json.loads(open(out + ".json").read())
+    payload = json.loads(Path(out + ".json").read_text())
     assert payload["certificate"] == "qp_certificate"
     assert payload["K"] > 0 and payload["K_closed_form"] > 0
 
@@ -93,7 +108,8 @@ def test_analyze_rank_column_uses_the_piece_rank(tmp_path):
     problems.save(inst, path)
     out = str(tmp_path / "qp_report.txt")
     assert cli.main(["analyze", str(path), "--out", out]) == cli.EXIT_OK
-    row = next(line for line in open(out) if line.startswith("() "))
+    row = next(line for line in Path(out).read_text().splitlines()
+               if line.startswith("() "))
     _, rank, sigma, bound = row.split()[:4]
     assert rank == "1"
     assert float(bound) == pytest.approx(1.0 / float(sigma), rel=1e-5)
@@ -116,7 +132,7 @@ def test_verify_builtin_contraction(tmp_path):
     rc = cli.main(["verify", "--builtin", "example3", "--lam-grid", "0.3,0.5",
                    "--out", out])
     assert rc == cli.EXIT_OK
-    reports = json.loads(open(out + ".json").read())
+    reports = json.loads(Path(out + ".json").read_text())
     assert all(r["result"] == "PASS" for r in reports)
 
 
@@ -125,7 +141,7 @@ def test_verify_builtin_rotation(tmp_path):
     rc = cli.main(["verify", "--builtin", "example4",
                    "--theta-grid", "pi/3,pi/2", "--out", out])
     assert rc == cli.EXIT_OK
-    reports = json.loads(open(out + ".json").read())
+    reports = json.loads(Path(out + ".json").read_text())
     rhos = [r["measured"]["rho_tilde"] for r in reports]
     assert rhos[0] == pytest.approx(np.cos(np.pi / 6), abs=1e-6)
 
@@ -143,7 +159,7 @@ def test_verify_failure_exit_five(tmp_path):
     rc = cli.main(["verify", "--builtin", "qp-batch", "--n", "4", "--m", "8",
                    "--rank-q", "3", "--seeds", "1", "--out", out])
     assert rc == cli.EXIT_CHECKS_FAILED
-    reports = json.loads(open(out + ".json").read())
+    reports = json.loads(Path(out + ".json").read_text())
     failed = [c["name"] for r in reports for c in r["checks"] if not c["passed"]]
     assert all("closed-form" in n or "compact" in n for n in failed)
 
@@ -184,7 +200,7 @@ def test_verify_radius_sweep_recorded(tiny_lp, tmp_path):
     out = str(tmp_path / "sweep.txt")
     rc = cli.main(["verify", tiny_lp, "--radius-sweep", "--out", out])
     assert rc == cli.EXIT_OK
-    reports = json.loads(open(out + ".json").read())
+    reports = json.loads(Path(out + ".json").read_text())
     sweep = reports[0]["measured"]["radius_sweep"]
     assert [s["R"] for s in sweep] == [1e-1, 1e-2, 1e-3, 1e-4]
     assert all(s["within_bound"] for s in sweep if s["R"] <= 1e-2)

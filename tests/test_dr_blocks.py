@@ -14,7 +14,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from fpicert import analysis, engine, problems, verify
+from fpicert import engine, problems, verify
 from fpicert import prox as fn
 from fpicert.errors import NonFinite
 from fpicert.linalg import lambda_max_psd
@@ -33,7 +33,7 @@ def _start(name):
     else:
         inst, _ = problems.generate_lp(n, m, seed)
         gamma = 1.0
-    fixset = analysis.fixed_point_set(verify.kind_setup(inst, gamma, 0.5).pieces())
+    fixset = verify.certify(inst, gamma, 0.5)[1]
     direction = np.random.default_rng(seed).standard_normal(n)
     direction /= np.linalg.norm(direction)
     return inst, gamma, fixset.representative + 30.0 * direction
@@ -128,7 +128,7 @@ def test_held_faces_step_by_the_enumerated_pieces(name):
 
     step._hold = record
     engine.iterate(op, x0, max_iters=200_000)
-    pieces = {p.active: p for p in verify.kind_setup(inst, gamma, 0.5).pieces()}
+    pieces = {p.active: p for p in verify.certify(inst, gamma, 0.5)[0]}
     assert len(held) > 1
     for active, Tt in held.items():
         n = len(x0)

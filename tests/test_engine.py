@@ -6,9 +6,9 @@ from fpicert.errors import EmptyFixedSet, NonFinite, TooShort
 from fpicert.operators import FixedPointOperator, Provenance, make_dr
 
 
-def _op(fn, dim, alpha=0.5, averaged=True):
+def _op(fn, dim, alpha=0.5):
     return FixedPointOperator(dimension=dim, alpha=alpha, evaluate=fn,
-                              provenance=Provenance("test"), averaged=averaged)
+                              provenance=Provenance("test"))
 
 
 def test_iterate_identity_stops_immediately():

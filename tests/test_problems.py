@@ -39,10 +39,42 @@ def test_load_rejects_infeasible_constraints(tmp_path):
 
 def test_load_rejects_shape_mismatch(tmp_path):
     path = tmp_path / "shape.txt"
-    path.write_text("A: 1 0\nb: 1\nc: 1\nkind: lp\nm: 1\nn: 2\n")
-    with pytest.raises(ValidationError) as err:
-        load(path)
-    assert err.value.reason == "shape_mismatch"
+    # the second file's row under m = 0 was dropped, leaving the LP
+    # unconstrained
+    for text, field in (("A: 1 0\nb: 1\nc: 1\nkind: lp\nm: 1\nn: 2\n", "c"),
+                        ("A: 1 0\nb: -5\nc: 1 0\nkind: lp\nm: 0\nn: 2\n", "A")):
+        path.write_text(text)
+        with pytest.raises(ValidationError) as err:
+            load(path)
+        assert err.value.reason == "shape_mismatch" and err.value.field == field
+
+
+#: A value for every optional field of any kind.
+FIELD_VALUES = {"Q": "1 0 0 1", "A": "1 0", "b": "1", "l1_weight": "0.5"}
+
+
+@pytest.mark.parametrize("kind", problems.KIND_FIELDS)
+def test_load_checks_the_fields_of_each_kind(kind, tmp_path):
+    reads, requires = problems.KIND_FIELDS[kind]
+    base = {"kind": kind, "n": "2", "m": "0", "c": "0 0",
+            **{key: FIELD_VALUES[key] for key in requires}}
+    path = tmp_path / "p.txt"
+
+    def load_with(fields):
+        path.write_text("".join(f"{k}: {v}\n" for k, v in fields.items()))
+        return load(path)
+
+    assert load_with(base).kind == kind
+    # an LP or QP with l1_weight, and a lasso with A and b, were accepted
+    # and the unread term silently dropped
+    for key in sorted(FIELD_VALUES.keys() - reads) + ["l1weight"]:
+        with pytest.raises(ValidationError) as err:
+            load_with({**base, key: FIELD_VALUES.get(key, "1")})
+        assert err.value.field == key
+    for key in requires:
+        with pytest.raises(ValidationError) as err:
+            load_with({k: v for k, v in base.items() if k != key})
+        assert err.value.field == key
 
 
 def test_load_rejects_malformed_line(tmp_path):

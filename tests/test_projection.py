@@ -115,7 +115,10 @@ def test_face_feasible_point():
 
 def _degenerate_polyhedron(rng, kind):
     """A random polyhedron around a feasible point with paired equality
-    rows, a duplicated row or a near-parallel row."""
+    rows, a duplicated row, a near-parallel row, or an implicit equality:
+    ``k + 1`` positively dependent inequality rows tight at ``x0``, which
+    cut out a point or face with no paired rows (an LP's fixed-point set
+    has this shape)."""
     n = int(rng.integers(2, 5))
     m = int(rng.integers(3, 6))
     x0 = rng.standard_normal(n)
@@ -124,6 +127,10 @@ def _degenerate_polyhedron(rng, kind):
     if kind == "paired":
         e = rng.standard_normal((1, n))
         return intersect(Polyhedron(A, b), affine_rows(e, e @ x0)), x0
+    if kind == "implicit":
+        B = rng.standard_normal((int(rng.integers(1, n + 1)), n))
+        E = np.vstack([B, -rng.uniform(0.5, 2.0, size=len(B)) @ B])
+        return intersect(Polyhedron(A, b), Polyhedron(E, E @ x0)), x0
     if kind == "duplicate":
         return Polyhedron(np.vstack([A, A[:1]]), np.concatenate([b, b[:1]])), x0
     a = A[0] + 1e-6 * rng.standard_normal(n)
@@ -133,7 +140,7 @@ def _degenerate_polyhedron(rng, kind):
 def test_warm_projector_agrees_with_cold_and_brute_force():
     rng = np.random.default_rng(11)
     hits = misses = 0
-    for kind in ("paired", "duplicate", "near_parallel") * 3:
+    for kind in ("paired", "duplicate", "near_parallel", "implicit") * 3:
         X, x0 = _degenerate_polyhedron(rng, kind)
         project = Projector(X)
         u = x0 + 3 * rng.standard_normal(X.dim)

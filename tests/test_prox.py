@@ -6,14 +6,19 @@ from fpicert import prox as fn
 from fpicert.polyhedra import Polyhedron
 from fpicert.prox import (box_indicator, conjugate_pair_examples, l1, linear,
                           moreau_residual, polyhedral_indicator, prox,
-                          quadratic, reflect)
+                          prox_map, quadratic, reflect)
 
 
 def test_prox_linear_shifts_by_gamma_c():
+    # a linear term is the quadratic with Q = 0; W = inv(0 + I) and W x
+    # are exact, so the prox is bitwise x - gamma c
     c = np.array([2.0, -1.0, 0.5])
-    x = np.array([1.0, 1.0, 1.0])
-    assert np.allclose(prox(linear(c), 1.0, x), x - c)
-    assert np.allclose(prox(linear(c), 0.25, x), x - 0.25 * c)
+    x = np.array([1.0, -3.7, 0.2])
+    f = linear(c)
+    for gamma in (1.0, 0.25, 0.37):
+        W, h = prox_map(f, gamma).affine
+        assert np.array_equal(W, np.eye(3)) and np.array_equal(h, gamma * c)
+        assert np.array_equal(prox(f, gamma, x), x - gamma * c)
 
 
 def test_prox_quadratic_identity_halves():
@@ -125,8 +130,6 @@ def _subgradient_residual(f, gamma, x, u):
     s = (x - u) / gamma
     if f.kind == fn.QUADRATIC:
         return np.linalg.norm(s - (f.data["Q"] @ u + f.data["c"]))
-    if f.kind == fn.LINEAR:
-        return np.linalg.norm(s - f.data["c"])
     if f.kind == fn.L1:
         w = f.data["weight"]
         worst = 0.0

@@ -65,7 +65,7 @@ def test_batched_distances_fall_back_off_the_affine_hits(scalar_calls):
     # a point set, where every row is an affine hit, and an LP whose
     # fixed set has nine pieces, where some rows miss
     rng = np.random.default_rng(0)
-    point = analysis.point_fixed_set(rng.standard_normal(3), source="limit")
+    point = analysis.point_fixed_set(rng.standard_normal(3))
     xs = point.representative + rng.standard_normal((300, 3))
     batched = point.distances(xs)
     assert not scalar_calls
