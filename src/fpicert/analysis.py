@@ -141,7 +141,7 @@ def _basic_points(X, scale):
     return np.concatenate(points)
 
 
-def _enumerate_faces(X, budget_rows=MAX_ENUM_ROWS):
+def _enumerate_faces(X):
     """Active sets J with rank(A_J^T) = |J| and a nonempty face X_J, in
     order of size, then lexicographically.
 
@@ -159,9 +159,9 @@ def _enumerate_faces(X, budget_rows=MAX_ENUM_ROWS):
     ``2^m`` row sets that marks each subset of some point's tight rows.
     """
     m, n = X.num_rows, X.dim
-    if m > budget_rows:
+    if m > MAX_ENUM_ROWS:
         raise TooLarge(f"{m} rows exceed the enumeration budget of "
-                       f"{budget_rows}")
+                       f"{MAX_ENUM_ROWS}")
     seed_point = find_feasible_point(X)
     if seed_point is None:
         raise Infeasible("the constraint polyhedron is empty")
@@ -393,21 +393,21 @@ def error_bound_constant(pieces, fixset):
     return max(p.hoffman_bound for p in fixset.pieces)
 
 
-def estimate_min_residual(piece, samples=64, seed=0, scale=5.0):
+def estimate_min_residual(piece):
     """Sampled upper bound on ``inf ||M x - v||`` over the region of a
-    piece: a minimum over points of the region (used to report the
-    radius on which the error bound is in force for pieces that miss the
-    fixed-point set).
+    piece: a minimum over the projections onto the region of 16 seeded
+    normal points of scale 5 (used to report the radius on which the
+    error bound is in force for pieces that miss the fixed-point set).
 
     The infimum itself is a structured polyhedral problem we do not
     solve exactly; the returned value is labeled as a sampled upper
     bound wherever it is surfaced.
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     n = piece.dim
     best = np.inf
-    for _ in range(samples):
-        u = scale * rng.standard_normal(n)
+    for _ in range(16):
+        u = 5.0 * rng.standard_normal(n)
         x = project_polyhedron(piece.region, u)
         best = min(best, float(np.linalg.norm(piece.residual(x))))
     return best

@@ -151,16 +151,16 @@ def cmd_solve(args):
     return EXIT_OK if trace.stop_reason == STOP_RESIDUAL else EXIT_MAX_ITERS
 
 
-def _piece_table(pieces, fixset, max_eps_pieces=64):
+def _piece_table(pieces, fixset):
     meeting = {id(p) for p in fixset.pieces}
     lines = ["active_set  rank  sigma_min_plus  hoffman_bound  meets_fixed_set"
              "  min_residual(sampled upper bound)"]
-    small = len(pieces) <= max_eps_pieces
+    small = len(pieces) <= 64  # longer tables skip the sampled column
     for piece in pieces:
         meets = id(piece) in meeting
         eps = ""
         if small and not meets:
-            eps = "%.3g" % analysis.estimate_min_residual(piece, samples=16)
+            eps = "%.3g" % analysis.estimate_min_residual(piece)
         lines.append(f"{str(piece.active):<11} {piece.rank:>4}  "
                      f"{piece.sigma_min_plus:<14.6g}  "
                      f"{piece.hoffman_bound:<13.6g}  {str(meets):<15}  {eps}")

@@ -28,10 +28,6 @@ class StepTooLarge(FpicertError):
     """Gradient step length at or beyond the averagedness threshold."""
 
 
-class SingularSubproblem(FpicertError):
-    """An inner linear system of a splitting update is singular."""
-
-
 class NonFinite(FpicertError):
     """An iterate left the finite floating-point range."""
 

@@ -66,18 +66,16 @@ class SpectralSummary:
         return self.Vt[:r].T @ ((self.U[:, :r].T @ b) / self.singular_values[:r])
 
 
-def spectral_summary(A, tol=DEFAULT_RANK_TOL):
+def spectral_summary(A):
     """Singular values (nonincreasing), numerical rank, smallest positive
     singular value and SVD factors of ``A``: the one rank rule.
 
-    Rank counts values above ``tol * sigma_max``, which makes the cutoff
-    invariant under rescaling of ``A``.
+    Rank counts values above ``DEFAULT_RANK_TOL * sigma_max``, which makes
+    the cutoff invariant under rescaling of ``A``.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     A = as_matrix(A)
     U, svals, Vt = np.linalg.svd(A)
-    rank = int(np.count_nonzero(svals > tol * svals.max(initial=0.0)))
+    rank = int(np.count_nonzero(svals > DEFAULT_RANK_TOL * svals.max(initial=0.0)))
     sigma_min_plus = float(svals[rank - 1]) if rank > 0 else 0.0
     return SpectralSummary(svals, rank, sigma_min_plus, U, Vt)
 
@@ -107,17 +105,18 @@ def psd_eigenvalues(Q, tol=PSD_TOL, relative=False):
     return eigs
 
 
-def condition_number_plus(Q, tol=DEFAULT_RANK_TOL):
+def condition_number_plus(Q):
     """Restricted condition number lambda_max / lambda_min_plus of a
     symmetric PSD matrix, where lambda_min_plus is the smallest eigenvalue
-    above ``tol * lambda_max``.
+    above ``DEFAULT_RANK_TOL * lambda_max``.
 
     Raises ``NotPSD`` for asymmetric input or a negative eigenvalue below
-    ``-tol * lambda_max``, and ``ZeroMatrix`` when lambda_max <= tol.
+    ``-DEFAULT_RANK_TOL * lambda_max``, and ``ZeroMatrix`` when
+    lambda_max <= DEFAULT_RANK_TOL.
     """
-    eigs = psd_eigenvalues(as_matrix(Q), tol, relative=True)
+    eigs = psd_eigenvalues(as_matrix(Q), DEFAULT_RANK_TOL, relative=True)
     lam_max = float(eigs[-1])
-    positive = eigs[eigs > tol * lam_max]
+    positive = eigs[eigs > DEFAULT_RANK_TOL * lam_max]
     lam_min_plus = float(positive[0])
     return lam_max / lam_min_plus
 

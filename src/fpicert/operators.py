@@ -24,11 +24,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .engine import IterationTrace, STOP_MAX_ITERS
-from .errors import SingularSubproblem, StepTooLarge
+from .errors import StepTooLarge
 from .linalg import lambda_max_psd
 # prox and project_polyhedron are not called here; they stay importable
 # because bench/tracing.py patches them at this module
-from .prox import QUADRATIC, polyhedral_indicator, prox, prox_map
+from .prox import QUADRATIC, prox, prox_map
 from .polyhedra import project_polyhedron
 
 
@@ -111,20 +111,16 @@ def make_proximal_point(f, gamma):
     )
 
 
-def make_gradient_projection(f, S, lam):
-    """Projected-gradient map ``proj_S(x - lam * grad f(x))``: proximal
-    gradient with the indicator of ``S``, whose prox ignores gamma."""
-    return make_proximal_gradient(f, polyhedral_indicator(S), lam, 1.0)
-
-
-def make_proximal_gradient(f, g, lam, gamma):
-    """Proximal-gradient map ``prox(g, gamma, x - lam * grad f(x))``."""
+def make_proximal_gradient(f, g, lam):
+    """Proximal-gradient map ``prox(g, lam, x - lam * grad f(x))``, whose
+    fixed points minimize f + g.  With the indicator of a polyhedron S as
+    g it is projected gradient, ``proj_S(x - lam * grad f(x))``."""
     Q, c = _gradient_data(f)
     if g.dimension != f.dimension:
         raise ValueError("f and g live in different spaces")
     alpha = compose_alpha(_gd_alpha(lam, lambda_max_psd(Q)), 0.5)
-    prov = Provenance("pg", {"lambda": lam, "gamma": gamma})
-    prox_g = prox_map(g, gamma)
+    prov = Provenance("pg", {"lambda": lam})
+    prox_g = prox_map(g, lam)
     return FixedPointOperator(
         dimension=f.dimension,
         alpha=alpha,
@@ -319,10 +315,7 @@ def run_admm_direct(f, g, rho, y0=None, w0=None, iters=100):
         raise ValueError("rho must be positive")
     n = f.dimension
     w0 = np.zeros(n) if w0 is None else np.asarray(w0, dtype=float)
-    try:
-        prox_f = prox_map(f, rho)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - rho*Q+I is SPD
-        raise SingularSubproblem(str(exc)) from exc
+    prox_f = prox_map(f, rho)
     prox_g = prox_map(g, rho)
     x = prox_f(rho * w0) if y0 is None else np.asarray(y0, dtype=float).copy()
     u = x - rho * w0

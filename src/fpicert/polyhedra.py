@@ -6,18 +6,19 @@ layer builds the regions it projects onto.
 
 Two projection routes are provided and kept deliberately independent:
 
-* ``brute_force`` enumerates index sets J with ``rank(A_J^T) = |J|``,
-  projects onto each candidate affine subspace and keeps the candidate
-  whose KKT certificate (primal feasibility + nonnegative multipliers)
-  checks out.  Exponential in the row count; it is the oracle.
-* ``active_set`` solves the dual of the projection problem with a
-  Lawson-Hanson style active-set loop on the multipliers.  Polynomial in
-  practice and the default everywhere.
+* ``project_polyhedron`` solves the dual of the projection problem with
+  a Lawson-Hanson style active-set loop on the multipliers.  Polynomial
+  in practice; every caller in the package uses it.
+* ``project_brute_force`` enumerates index sets J with
+  ``rank(A_J^T) = |J|``, projects onto each candidate affine subspace
+  and keeps the candidate whose KKT certificate (primal feasibility +
+  nonnegative multipliers) checks out.  Exponential in the row count;
+  it is the oracle the tests hold the active-set route to.
 
 A :class:`Face` is the one place a face's Gram inverse, multipliers and
 affine projection are formed; the piece enumeration of the analysis
 layer and the :class:`Projector` both hold faces.  A ``Projector`` is the
-repeated-call form of ``active_set``: it tries the face of the last
+repeated-call form of ``project_polyhedron``: it tries the face of the last
 certified active set first and accepts the result only if it is
 feasible within the cold loop's slack and its multipliers are
 nonnegative, falling back to the cold loop otherwise.  It also tests
@@ -139,36 +140,38 @@ class ProjectionResult:
     active: tuple
     multipliers: np.ndarray
 
-    def displacement_matches(self, poly, u, tol=KKT_TOL):
-        """Check ``u - point = A_J^T multipliers`` within ``tol``."""
+    def displacement_matches(self, poly, u):
+        """Check ``u - point = A_J^T multipliers`` within ``KKT_TOL``."""
         AJ = poly.A[list(self.active)]
         resid = (u - self.point) - AJ.T @ self.multipliers
-        return float(np.linalg.norm(resid)) <= tol * (1.0 + np.linalg.norm(u))
+        return float(np.linalg.norm(resid)) <= KKT_TOL * (1.0 + np.linalg.norm(u))
 
 
-def project_polyhedron(poly, u, method="active_set"):
+def _as_point(poly, u):
+    u = np.asarray(u, dtype=float)
+    if u.shape != (poly.dim,):
+        raise ValueError(f"point has shape {u.shape}, expected ({poly.dim},)")
+    return u
+
+
+def project_polyhedron(poly, u):
     """Euclidean projection of ``u`` onto a nonempty polyhedron.
 
-    Returns the projected point.  ``method`` selects the route; both must
-    agree (this is asserted by the test suite on random instances).
+    Returns the projected point; ``project_brute_force`` must agree with
+    it (this is asserted by the test suite on random instances).
     Raises ``Infeasible`` when the polyhedron is empty and ``NoCertificate``
     when no KKT-certified candidate is found, which indicates a tolerance
     failure on badly scaled input.
     """
-    return project_with_certificate(poly, u, method=method).point
+    return project_with_certificate(poly, u).point
 
 
-def project_with_certificate(poly, u, method="active_set"):
-    u = np.asarray(u, dtype=float)
-    if u.shape != (poly.dim,):
-        raise ValueError(f"point has shape {u.shape}, expected ({poly.dim},)")
+def project_with_certificate(poly, u):
+    """``project_polyhedron`` with its KKT certificate, a ``ProjectionResult``."""
+    u = _as_point(poly, u)
     if poly.num_rows == 0:
         return ProjectionResult(u.copy(), (), np.zeros(0))
-    if method == "active_set":
-        return _project_active_set(poly, u, KKT_TOL)
-    if method == "brute_force":
-        return _project_brute_force(poly, u, KKT_TOL)
-    raise ValueError(f"unknown projection method {method!r}")
+    return _project_active_set(poly, u)
 
 
 @dataclass(frozen=True)
@@ -270,15 +273,13 @@ class Projector:
         return n
 
     def __call__(self, u):
-        u = np.asarray(u, dtype=float)
-        if u.shape != (self.poly.dim,):
-            raise ValueError(f"point has shape {u.shape}, expected ({self.poly.dim},)")
+        u = _as_point(self.poly, u)
         x, ok = self._warm(u)
         if ok:
             self.hits += 1
             return x
         self.misses += 1
-        res = _project_active_set(self.poly, u, KKT_TOL)
+        res = _project_active_set(self.poly, u)
         self._cache(res.active)
         return res.point
 
@@ -293,7 +294,11 @@ def _candidate(poly, J, u):
     return x, lam
 
 
-def _project_brute_force(poly, u, tol):
+def project_brute_force(poly, u):
+    """The projection of ``u`` onto a nonempty polyhedron by enumeration of
+    its candidate active sets: the oracle ``project_polyhedron`` is tested
+    against.  Raises as ``project_polyhedron`` does."""
+    u = _as_point(poly, u)
     m, n = poly.num_rows, poly.dim
     scale = 1.0 + float(np.linalg.norm(u)) + float(np.abs(poly.b).max(initial=0.0))
     certified = []
@@ -304,12 +309,12 @@ def _project_brute_force(poly, u, tol):
             if k and np.linalg.matrix_rank(AJ.T, tol=1e-10 * max(1.0, np.abs(AJ).max())) < k:
                 continue
             x, lam = _candidate(poly, J, u)
-            if poly.violation(x) > tol * scale:
+            if poly.violation(x) > KKT_TOL * scale:
                 continue
             feasible_seen = True
-            if k and lam.min(initial=0.0) < -tol * scale:
+            if k and lam.min(initial=0.0) < -KKT_TOL * scale:
                 continue
-            certified.append(ProjectionResult(x, tuple(J), lam))
+            certified.append(x)
     if not certified:
         if feasible_seen:
             raise NoCertificate("feasible candidates exist but none passed the "
@@ -318,7 +323,7 @@ def _project_brute_force(poly, u, tol):
                          "the polyhedron is empty")
     best = certified[0]
     for cand in certified[1:]:
-        if np.linalg.norm(cand.point - best.point) > TIE_TOL * scale:
+        if np.linalg.norm(cand - best) > TIE_TOL * scale:
             raise NoCertificate("two certified candidates disagree; "
                                 "projection should be unique")
     return best
@@ -336,7 +341,7 @@ def _solve_working_set(poly, u, W):
     return lam
 
 
-def _project_active_set(poly, u, tol):
+def _project_active_set(poly, u):
     """Dual active-set projection (Goldfarb-Idnani style for a unit
     Hessian).
 
@@ -348,7 +353,7 @@ def _project_active_set(poly, u, tol):
     (if no row blocks, the polyhedron is empty by duality).
     Self-starting: no feasible initial point is needed.
     """
-    m = poly.num_rows
+    m, tol = poly.num_rows, KKT_TOL
     scale = 1.0 + float(np.linalg.norm(u)) + float(np.abs(poly.b).max(initial=0.0))
     W = []
     lam_W = np.zeros(0)

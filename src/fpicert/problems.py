@@ -287,11 +287,11 @@ def example_rotation_operator(theta):
     )
 
 
-def example_operators(lams=(0.1, 0.3, 0.5, 0.9),
-                      thetas=(np.pi / 6, np.pi / 3, np.pi / 2, 2 * np.pi / 3)):
-    """The analytic test operators over the default parameter grids."""
-    ops = [example_contraction_operator(lam) for lam in lams]
-    ops += [example_rotation_operator(theta) for theta in thetas]
+def example_operators():
+    """The analytic test operators over their parameter grids."""
+    ops = [example_contraction_operator(lam) for lam in (0.1, 0.3, 0.5, 0.9)]
+    ops += [example_rotation_operator(theta)
+            for theta in (np.pi / 6, np.pi / 3, np.pi / 2, 2 * np.pi / 3)]
     return ops
 
 
@@ -311,6 +311,8 @@ def split_functions(instance):
     if instance.kind == "lasso":
         return smooth, fn.l1(instance.l1_weight, n)
     if instance.kind == "prox_demo":
+        if instance.Q is not None and instance.l1_weight is not None:
+            raise ValueError("prox_demo takes Q or l1_weight, not both")
         if instance.Q is not None:
             return smooth, None
         if instance.l1_weight is None or np.any(instance.c != 0.0):
@@ -347,22 +349,18 @@ def operator_for(instance, algorithm, gamma=1.0, alpha=0.5, lam=0.1, rho=1.0):
                              "(lasso kind with zero l1 weight)")
         return make_gd(f, lam), None
     if instance.kind in ("lp", "qp"):
-        # gp and pg: gradient steps on the objective, then the prox of the
-        # constraint indicator, a projection that ignores gamma (gp's 1.0)
-        return make_proximal_gradient(g, f, lam,
-                                      gamma if algorithm == "pg" else 1.0), None
+        # gp and pg: gradient steps on the objective, then the projection
+        return make_proximal_gradient(g, f, lam), None
     if algorithm == "gp":
         raise ValueError("gp needs polyhedral constraints")
-    if instance.kind == "lasso":
-        return make_proximal_gradient(f, g, lam, gamma), None
-    raise ValueError(f"pg does not apply to kind {instance.kind!r}")
+    return make_proximal_gradient(f, g, lam), None
 
 
-def _active_rows(X, x, tol=1e-6):
+def _active_rows(X, x):
     if X is None or X.num_rows == 0:
         return []
     slack = X.b - X.A @ x
-    return [i for i in range(X.num_rows) if slack[i] <= tol * (1.0 + abs(X.b[i]))]
+    return [i for i in range(X.num_rows) if slack[i] <= 1e-6 * (1.0 + abs(X.b[i]))]
 
 
 def kkt_residual(instance, x):

@@ -117,11 +117,7 @@ def lp_certificate(alpha):
     data, and relaxed distance rate ``1 - 2 alpha (1 - alpha)``."""
     if not 0.0 < alpha < 1.0:
         raise RhoOutOfRange("alpha must lie in (0, 1)")
-    K = 1.0 / (2.0 * alpha)
-    cert = rates_from_K(alpha, K)
-    extras = {"K_lower": float(np.sqrt((1.0 - alpha) / alpha)),
-              "rho_dist_relaxed_closed_form": 1.0 - 2.0 * alpha * (1.0 - alpha)}
-    return replace(cert, source="lp_certificate", extras=extras)
+    return replace(rates_from_K(alpha, 1.0 / (2.0 * alpha)), source="lp_certificate")
 
 
 def qp_certificate(alpha, gamma, lambda_max, kappa_plus):

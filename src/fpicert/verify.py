@@ -91,14 +91,14 @@ class ExperimentReport:
         return json.dumps(payload, indent=2, sort_keys=True, default=float) + "\n"
 
 
-def terminal_contraction(trace, tail_fraction=0.25):
+def terminal_contraction(trace):
     """Fitted terminal residual contraction with a fallback for runs
     that stop after a handful of steps: 0.0 once a residual falls to
     ``ROUNDOFF_FLOOR * (1 + ||limit||)``, else the geometric-mean ratio
     over all residuals (an upper bound on the terminal ratio for monotone
     residuals)."""
     try:
-        return engine.fit_asymptotic_rate(trace, tail_fraction), "tail-fit"
+        return engine.fit_asymptotic_rate(trace), "tail-fit"
     except TooShort:
         r = np.asarray(trace.residuals)
         if np.any(r <= ROUNDOFF_FLOOR * (1.0 + np.linalg.norm(trace.limit))):
@@ -130,23 +130,23 @@ def per_step_contraction_checks(trace, K, alpha):
             "qualifying_steps": int(qualifying.sum()), "sequence_from": k0}
 
 
-def _radius_sweep(op, fixset, K, seed, samples=150):
+def _radius_sweep(op, fixset, K, seed):
     sweep = []
     for R in RADIUS_SWEEP:
-        er = engine.estimate_rates(op, fixset, R=R, samples=samples, seed=seed)
+        er = engine.estimate_rates(op, fixset, R=R, samples=150, seed=seed)
         sweep.append({"R": R, "k_tilde": er.k_tilde, "rho_tilde": er.rho_tilde,
                       "within_bound": bool(er.k_tilde <= K * (1.0 + 1e-6))})
     return sweep
 
 
-def _verify_example(problem, op, R, k, rho, chain, tol, samples, seed):
+def _verify_example(problem, op, R, k, rho, chain, tol, seed):
     """Exactness checks of an analytic example with fixed point 0:
     measured ``k_tilde`` and ``rho_tilde`` against their exact values
     ``k`` and ``rho`` (each ``(label, value)``), and the ``chain`` side
     (``"lower"`` or ``"upper"``, with its label) of the sandwich tight."""
     t0 = time.time()
     fixset = analysis.point_fixed_set(np.zeros(op.dimension))
-    er = engine.estimate_rates(op, fixset, R=R, samples=samples, seed=seed)
+    er = engine.estimate_rates(op, fixset, R=R, seed=seed)
     sw = rates.sandwich(op.alpha, er.rho_tilde, er.k_tilde)
     side, chain_label = chain
     rows = [(f"measured k_tilde equals {k[0]}", er.k_tilde, k[1]),
@@ -164,23 +164,23 @@ def _verify_example(problem, op, R, k, rho, chain, tol, samples, seed):
         runtime_seconds=time.time() - t0)
 
 
-def verify_example_contraction(lam, samples=200, seed=0):
+def verify_example_contraction(lam, seed=0):
     """Exactness checks for the scaled-identity contraction."""
     return _verify_example(
         {"builtin": "example-contraction", "lambda": lam},
         problems.example_contraction_operator(lam), R=1.0,
         k=("1/lambda", 1.0 / lam), rho=("1 - lambda", 1.0 - lam),
-        chain=("lower", "1 - 1/k_tilde"), tol=1e-9, samples=samples, seed=seed)
+        chain=("lower", "1 - 1/k_tilde"), tol=1e-9, seed=seed)
 
 
-def verify_example_rotation(theta, samples=200, seed=0):
+def verify_example_rotation(theta, seed=0):
     """Exactness checks for the half-averaged planar rotation."""
     return _verify_example(
         {"builtin": "example-rotation", "theta": theta},
         problems.example_rotation_operator(theta), R=2.0,
         k=("1/sin(theta/2)", 1.0 / np.sin(theta / 2.0)),
         rho=("cos(theta/2)", float(np.cos(theta / 2.0))),
-        chain=("upper", "sqrt(1 - 1/k_tilde^2)"), tol=1e-6, samples=samples, seed=seed)
+        chain=("upper", "sqrt(1 - 1/k_tilde^2)"), tol=1e-6, seed=seed)
 
 
 def default_gamma(instance):
@@ -218,7 +218,7 @@ def _lp_claims(instance, cert, fixset, K, terminal, sampled):
     fit, fit_mode = terminal
     unit = 1.0 / (2.0 * cert.alpha)
     piece_dev = max(abs(p.hoffman_bound - unit) for p in fixset.pieces)
-    rate = cert.extras["rho_dist_relaxed_closed_form"]
+    rate = cert.rho_dist_relaxed
     checks = [
         CheckResult("every piece meeting the fixed set has bound 1/(2 alpha)",
                     piece_dev <= 1e-9, piece_dev, 1e-9),

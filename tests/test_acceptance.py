@@ -25,7 +25,8 @@ from fpicert.linalg import (condition_number_plus, lambda_max_psd,
 from fpicert.operators import (make_admm_xy_split, make_dr,
                                make_proximal_gradient, make_proximal_point,
                                run_admm_direct)
-from fpicert.polyhedra import Polyhedron, is_empty, project_polyhedron
+from fpicert.polyhedra import (Polyhedron, is_empty, project_brute_force,
+                               project_polyhedron)
 from fpicert.prox import conjugate_pair_examples, l1, moreau_residual, quadratic
 
 LAM_GRID = (0.1, 0.3, 0.5, 0.9)
@@ -241,8 +242,8 @@ def test_criterion_6_projection_oracle_equivalence():
         if is_empty(X):
             continue
         u = 3 * rng.standard_normal(n)
-        p1 = project_polyhedron(X, u, method="active_set")
-        p2 = project_polyhedron(X, u, method="brute_force")
+        p1 = project_polyhedron(X, u)
+        p2 = project_brute_force(X, u)
         worst = max(worst, float(np.linalg.norm(p1 - p2)))
         done += 1
     ok = worst <= 1e-8
@@ -279,7 +280,7 @@ def _averaged_inequality_pool():
     pool.append((pp, np.zeros(2)))
     Q = G @ G.T + 0.2 * np.eye(3)
     pg = make_proximal_gradient(quadratic(Q, rng.standard_normal(3)),
-                                l1(0.4, 3), 0.2 / lambda_max_psd(Q), 0.3)
+                                l1(0.4, 3), 0.2 / lambda_max_psd(Q))
     limit = engine.iterate(pg, np.zeros(3), residual_tol=1e-13).limit
     pool.append((pg, limit))
     return pool

@@ -15,7 +15,8 @@ from fpicert.linalg import (condition_number_plus, lambda_max_psd,
 from fpicert.operators import make_dr
 from fpicert.polyhedra import (KKT_TOL, Polyhedron, affine_rows,
                                face_feasible_point, find_feasible_point,
-                               intersect, project_polyhedron, whole_space)
+                               intersect, project_brute_force,
+                               project_polyhedron, whole_space)
 
 # canonical one-dimensional instance: min x over x >= 0, optimum 0;
 # the splitting operator's fixed point is w = -gamma
@@ -514,7 +515,7 @@ def test_fixed_set_polyhedron_holds_the_witnesses_and_projects_exactly():
         for _ in range(5):
             u = fs.representative + rng.standard_normal(inst.dim)
             got = project_polyhedron(fs.poly, u)
-            want = project_polyhedron(fs.poly, u, method="brute_force")
+            want = project_brute_force(fs.poly, u)
             assert np.linalg.norm(got - want) <= 1e-9 * (1.0 + np.linalg.norm(u))
 
 
@@ -549,5 +550,5 @@ def test_point_fixed_set_distance():
 def test_estimate_min_residual_positive_off_fixed_pieces():
     pieces = enumerate_pieces_lp(X1, C1, 1.0, 0.5)
     free = pieces[0]  # residual is constant 2*alpha*gamma*c = 1 in norm
-    est = estimate_min_residual(free, samples=8, seed=0)
+    est = estimate_min_residual(free)
     assert est == pytest.approx(1.0, abs=1e-9)

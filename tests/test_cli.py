@@ -30,17 +30,45 @@ def test_solve_converges_and_extracts_optimum(tiny_lp, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("algorithm, params", [
-    ("gp", {"gamma": 1.0, "lambda": 0.1}),
+    ("gp", {"lambda": 0.1}),
     ("admm", {"rho": 2.0}),
+    ("pg", {"lambda": 0.1}),
 ])
 def test_solve_meta_records_the_parameters_read(algorithm, params, tiny_lp, tmp_path):
-    # gp projects at gamma 1 whatever --gamma says, and admm reads only rho
+    # gp and pg take their prox at lambda whatever --gamma says, and admm
+    # reads only rho
     out = tmp_path / "trace.csv"
     cli.main(["solve", tiny_lp, "--algorithm", algorithm, "--gamma", "0.3",
               "--rho", "2", "--out", str(out)])
     meta = json.loads((tmp_path / "trace.csv.meta.json").read_text())
     assert meta["params"] == {**params, "tol": 1e-10, "max_iters": 200_000,
                               "seed": 0, "start_scale": 10.0}
+
+
+def test_solve_pg_minimizes_lasso_at_its_own_step(tmp_path):
+    # the minimizer of 0.5||x||^2 - x1 + x2 + 0.5||x||_1 is (0.5, -0.5);
+    # a prox of g at a scale other than lambda minimizes another objective
+    path = tmp_path / "lasso.txt"
+    path.write_text("kind: lasso\nn: 2\nm: 0\nc: -1 1\nQ: 1 0 0 1\n"
+                    "l1_weight: 0.5\n")
+    out = str(tmp_path / "pg.csv")
+    rc = cli.main(["solve", str(path), "--algorithm", "pg", "--out", out])
+    assert rc == cli.EXIT_OK
+    x = np.array(json.loads(Path(out + ".meta.json").read_text())["solution"])
+    assert np.allclose(x, [0.5, -0.5], atol=1e-8)
+    assert problems.kkt_residual(problems.load(str(path)), x) <= 1e-8
+
+
+def test_solve_prox_demo_with_q_and_l1_exits_two(tmp_path, capsys):
+    # the prox of the sum is not built, so the pair is rejected rather
+    # than the l1 term dropped
+    path = tmp_path / "demo.txt"
+    path.write_text("kind: prox_demo\nn: 2\nm: 0\nc: 1 -2\nQ: 1 0 0 1\n"
+                    "l1_weight: 5\n")
+    rc = cli.main(["solve", str(path), "--algorithm", "prox",
+                   "--out", str(tmp_path / "demo.csv")])
+    assert rc == cli.EXIT_INVALID
+    assert "error:" in capsys.readouterr().err
 
 
 def test_solve_trace_deterministic(tiny_lp, tmp_path):

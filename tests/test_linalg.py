@@ -50,7 +50,7 @@ def test_projector_spectrum():
 
 
 def test_spectral_summary_diagonal():
-    s = spectral_summary(np.diag([3.0, 2.0, 0.0]), tol=1e-10)
+    s = spectral_summary(np.diag([3.0, 2.0, 0.0]))
     assert np.allclose(s.singular_values, [3.0, 2.0, 0.0])
     assert s.rank == 2
     assert s.sigma_min_plus == pytest.approx(2.0)

@@ -5,9 +5,8 @@ import fpicert.prox
 from fpicert import engine, problems
 from fpicert.errors import StepTooLarge
 from fpicert.operators import (compose_alpha, make_admm_xy_split, make_dr,
-                               make_gd, make_gradient_projection, make_pr,
-                               make_proximal_gradient, make_proximal_point,
-                               run_admm_direct)
+                               make_gd, make_pr, make_proximal_gradient,
+                               make_proximal_point, run_admm_direct)
 from fpicert.polyhedra import Polyhedron, whole_space
 from fpicert.prox import l1, linear, polyhedral_indicator, prox, quadratic
 
@@ -59,7 +58,7 @@ def test_proximal_point_l1_fixed_point_is_minimizer():
 def test_gradient_projection_free_space_reduces_to_gd():
     f = quadratic(np.diag([1.0, 0.5]), np.array([0.3, -0.2]))
     gd = make_gd(f, 0.4)
-    gp = make_gradient_projection(f, whole_space(2), 0.4)
+    gp = make_proximal_gradient(f, polyhedral_indicator(whole_space(2)), 0.4)
     rng = np.random.default_rng(0)
     for _ in range(5):
         x = rng.standard_normal(2)
@@ -72,7 +71,7 @@ def test_gradient_projection_box_least_squares():
     lo, hi = -np.ones(3), np.ones(3)
     box = Polyhedron(np.vstack([np.eye(3), -np.eye(3)]),
                      np.concatenate([hi, -lo]))
-    op = make_gradient_projection(quadratic(np.eye(3), -z), box, 0.5)
+    op = make_proximal_gradient(quadratic(np.eye(3), -z), polyhedral_indicator(box), 0.5)
     tr = engine.iterate(op, np.zeros(3), residual_tol=1e-13)
     assert np.allclose(tr.limit, np.clip(z, lo, hi), atol=1e-10)
 
@@ -80,13 +79,13 @@ def test_gradient_projection_box_least_squares():
 def test_gradient_projection_stationary_feasible_point_is_fixed():
     z = np.array([0.2, -0.1])
     box = Polyhedron(np.vstack([np.eye(2), -np.eye(2)]), np.ones(4))
-    op = make_gradient_projection(quadratic(np.eye(2), -z), box, 0.3)
+    op = make_proximal_gradient(quadratic(np.eye(2), -z), polyhedral_indicator(box), 0.3)
     assert np.allclose(op.evaluate(z), z)
 
 
 def test_proximal_gradient_zero_weight_equals_gd():
     f = quadratic(np.diag([1.0, 2.0]) / 2, np.array([0.1, 0.2]))
-    pg = make_proximal_gradient(f, l1(0.0, 2), 0.3, 1.0)
+    pg = make_proximal_gradient(f, l1(0.0, 2), 0.3)
     gd = make_gd(f, 0.3)
     rng = np.random.default_rng(1)
     for _ in range(5):
@@ -101,7 +100,7 @@ def test_proximal_gradient_lasso_fixed_point_is_stationary():
     Q, c = A.T @ A, -A.T @ b
     tau = 0.5
     lam = 0.9 / np.linalg.eigvalsh(Q).max()
-    op = make_proximal_gradient(quadratic(Q, c), l1(tau, 3), lam, lam)
+    op = make_proximal_gradient(quadratic(Q, c), l1(tau, 3), lam)
     tr = engine.iterate(op, np.zeros(3), residual_tol=1e-13)
     inst = problems.ProblemInstance(kind="lasso", c=c, Q=Q, l1_weight=tau)
     assert problems.kkt_residual(inst, tr.limit) <= 1e-8
@@ -109,7 +108,7 @@ def test_proximal_gradient_lasso_fixed_point_is_stationary():
 
 def test_proximal_gradient_stationary_point_is_fixed():
     f = quadratic(np.eye(2), np.zeros(2))  # grad = x, zero at origin
-    op = make_proximal_gradient(f, l1(0.5, 2), 0.4, 0.4)
+    op = make_proximal_gradient(f, l1(0.5, 2), 0.4)
     assert np.allclose(op.evaluate(np.zeros(2)), np.zeros(2))
 
 

@@ -180,8 +180,7 @@ def test_operator_dispatch():
                                   generate_qp(3, 6, 2, 4)[0]],
                          ids=["lp", "qp"])
 def test_gradient_projection_is_proximal_gradient_with_the_indicator(inst):
-    # the indicator's prox is the projection onto X whatever gamma is, so
-    # gp (built at gamma 1) and pg at another gamma take the same steps
+    # on an LP or QP gp and pg are one operator, and neither reads gamma
     x0 = np.full(inst.dim, 3.0)
     gp, _ = operator_for(inst, "gp", lam=0.1)
     pg, _ = operator_for(inst, "pg", gamma=0.37, lam=0.1)

@@ -4,8 +4,9 @@ import pytest
 from fpicert.errors import Infeasible
 from fpicert.polyhedra import (Polyhedron, Projector, affine_rows,
                                face_feasible_point, find_feasible_point,
-                               intersect, is_empty, project_polyhedron,
-                               project_with_certificate, whole_space)
+                               intersect, is_empty, project_brute_force,
+                               project_polyhedron, project_with_certificate,
+                               whole_space)
 
 
 def _random_nonempty(rng, n, m):
@@ -20,8 +21,8 @@ def _random_nonempty(rng, n, m):
 def test_projection_of_feasible_point_is_identity():
     X = Polyhedron(np.array([[1.0, 0.0], [0.0, 1.0]]), np.array([1.0, 1.0]))
     u = np.array([0.3, -2.0])
-    for method in ("active_set", "brute_force"):
-        assert np.allclose(project_polyhedron(X, u, method=method), u)
+    for project in (project_polyhedron, project_brute_force):
+        assert np.allclose(project(X, u), u)
 
 
 def test_projection_single_halfspace():
@@ -45,8 +46,8 @@ def test_methods_agree_on_random_instances():
         m = int(rng.integers(1, 11))
         X = _random_nonempty(rng, n, m)
         u = 3 * rng.standard_normal(n)
-        p1 = project_polyhedron(X, u, method="active_set")
-        p2 = project_polyhedron(X, u, method="brute_force")
+        p1 = project_polyhedron(X, u)
+        p2 = project_brute_force(X, u)
         assert np.linalg.norm(p1 - p2) <= 1e-8
 
 
@@ -54,7 +55,7 @@ def test_certificate_reconstructs_displacement():
     rng = np.random.default_rng(2)
     X = _random_nonempty(rng, 4, 8)
     u = 5 * rng.standard_normal(4)
-    res = project_with_certificate(X, u, method="active_set")
+    res = project_with_certificate(X, u)
     assert res.displacement_matches(X, u)
     assert np.all(res.multipliers >= 0.0)
 
@@ -62,15 +63,15 @@ def test_certificate_reconstructs_displacement():
 def test_empty_polyhedron_detected_by_both_methods():
     X = Polyhedron(np.array([[1.0], [-1.0]]), np.array([-1.0, -1.0]))
     assert is_empty(X)
-    for method in ("active_set", "brute_force"):
+    for project in (project_polyhedron, project_brute_force):
         with pytest.raises(Infeasible):
-            project_polyhedron(X, np.array([0.0]), method=method)
+            project(X, np.array([0.0]))
 
 
 def test_dependent_violated_rows():
     # x1 <= 1 and 2 x1 <= 1: the second is tighter and parallel
     X = Polyhedron(np.array([[1.0, 0.0], [2.0, 0.0]]), np.array([1.0, 1.0]))
-    got = project_polyhedron(X, np.array([3.0, 0.5]), method="active_set")
+    got = project_polyhedron(X, np.array([3.0, 0.5]))
     assert np.allclose(got, [0.5, 0.5])
 
 
@@ -85,8 +86,8 @@ def test_paired_equality_rows():
         d = C @ x0 + rng.uniform(0.1, 1.0, size=C.shape[0])
         X = intersect(affine_rows(E, E @ x0), Polyhedron(C, d))
         u = 2 * rng.standard_normal(n)
-        p1 = project_polyhedron(X, u, method="active_set")
-        p2 = project_polyhedron(X, u, method="brute_force")
+        p1 = project_polyhedron(X, u)
+        p2 = project_brute_force(X, u)
         assert np.linalg.norm(p1 - p2) <= 1e-8
         assert np.abs(E @ p1 - E @ x0).max() <= 1e-9
 
@@ -150,8 +151,8 @@ def test_warm_projector_agrees_with_cold_and_brute_force():
             else:              # a short walk: the cached face still fits
                 u = u + 1e-3 * rng.standard_normal(X.dim)
             warm = project(u)
-            for method in ("active_set", "brute_force"):
-                cold = project_polyhedron(X, u, method=method)
+            for project_cold in (project_polyhedron, project_brute_force):
+                cold = project_cold(X, u)
                 assert np.abs(warm - cold).max() <= 1e-9
         hits += project.hits
         misses += project.misses

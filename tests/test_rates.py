@@ -73,20 +73,20 @@ def test_sandwich_at_zero_rate():
 def test_lp_certificate_half_averaging():
     cert = lp_certificate(0.5)
     assert cert.K == pytest.approx(1.0)
-    assert cert.extras["rho_dist_relaxed_closed_form"] == pytest.approx(0.5)
+    assert cert.rho_dist_relaxed == pytest.approx(0.5)
     assert cert.rho_dist == pytest.approx(0.0, abs=1e-12)
 
 
 def test_lp_certificate_quarter_averaging():
     cert = lp_certificate(0.25)
     assert cert.K == pytest.approx(2.0)
-    assert cert.extras["rho_dist_relaxed_closed_form"] == pytest.approx(0.625)
+    assert cert.rho_dist_relaxed == pytest.approx(0.625)
 
 
 def test_lp_certificate_floor_scan():
     for alpha in np.linspace(0.02, 0.98, 49):
         cert = lp_certificate(alpha)
-        assert cert.extras["K_lower"] <= cert.K + 1e-12
+        assert np.sqrt((1.0 - alpha) / alpha) <= cert.K + 1e-12
         assert 0.0 <= cert.rho_dist < 1.0
 
 
