@@ -21,6 +21,10 @@ from .errors import EmptyFixedSet, NonFinite, TooShort
 STOP_RESIDUAL = "residual_tol"
 STOP_MAX_ITERS = "max_iters"
 
+#: Share of a trace's residuals, counted from its end, that
+#: ``fit_asymptotic_rate`` fits.
+TAIL_FRACTION = 0.25
+
 
 @dataclass
 class IterationTrace:
@@ -175,19 +179,17 @@ def estimate_rates(F, fixset, R, samples=200, seed=0):
                           seed=int(seed))
 
 
-def fit_asymptotic_rate(trace, tail_fraction=0.25):
+def fit_asymptotic_rate(trace):
     """Geometric-mean residual contraction over the final stretch of a
     trace.
 
-    Uses the last ``ceil(tail_fraction * num_steps)`` residuals; requires
+    Uses the last ``ceil(TAIL_FRACTION * num_steps)`` residuals; requires
     at least 10 of them to be positive (``TooShort`` otherwise).  A zero
     residual inside the window means the iteration reached a fixed point
     exactly, and the fitted rate is 0.0.
     """
-    if not 0 < tail_fraction <= 1:
-        raise ValueError("tail_fraction must be in (0, 1]")
     r = np.asarray(trace.residuals, dtype=float)
-    window = r[max(0, len(r) - int(np.ceil(tail_fraction * len(r)))):]
+    window = r[max(0, len(r) - int(np.ceil(TAIL_FRACTION * len(r)))):]
     positive = window[window > 0.0]
     if positive.size < 10:
         raise TooShort(f"only {positive.size} positive residuals in the tail")

@@ -6,9 +6,18 @@ layer builds the regions it projects onto.
 
 Two projection routes are provided and kept deliberately independent:
 
-* ``project_polyhedron`` solves the dual of the projection problem with
-  a Lawson-Hanson style active-set loop on the multipliers.  Polynomial
-  in practice; every caller in the package uses it.
+* ``project_polyhedron`` runs the dual active-set method of Goldfarb
+  and Idnani (Math. Programming 27, 1983) for a unit Hessian.  A working
+  set W of independent rows is held at equality with multipliers
+  ``lam >= 0`` at the point ``u - A_W^T lam``.  The most violated row p
+  enters by dual steps: its multiplier grows by t, ``lam`` moves by
+  ``-t r`` with ``r = inv(A_W A_W^T) A_W a_p`` and the point by ``-t z``
+  with ``z = a_p - A_W^T r``.  A full step makes p tight and adds it; a
+  step cut short where a working multiplier reaches zero drops that row
+  and goes on with the same p, which is never dropped.  A p in the span
+  of A_W with no blocking row proves the polyhedron empty.  No feasible
+  start is needed; the point is recomputed from the final working set.
+  Polynomial in practice; every caller in the package uses it.
 * ``project_brute_force`` enumerates index sets J with
   ``rank(A_J^T) = |J|``, projects onto each candidate affine subspace
   and keeps the candidate whose KKT certificate (primal feasibility +
@@ -17,12 +26,12 @@ Two projection routes are provided and kept deliberately independent:
 
 A :class:`Face` is the one place a face's Gram inverse, multipliers and
 affine projection are formed; the piece enumeration of the analysis
-layer and the :class:`Projector` both hold faces.  A ``Projector`` is the
-repeated-call form of ``project_polyhedron``: it tries the face of the last
-certified active set first and accepts the result only if it is
-feasible within the cold loop's slack and its multipliers are
-nonnegative, falling back to the cold loop otherwise.  It also tests
+layer and the :class:`Projector` both hold faces.  A ``Projector`` tries
+the face of the last certified active set first and accepts the result
+only if it is feasible within the cold loop's slack and its multipliers
+are nonnegative, falling back to the cold loop otherwise; it also tests
 whole blocks of points against its held face under the same rule.
+``project_polyhedron`` is a one-shot ``Projector``.
 """
 
 import math
@@ -132,21 +141,6 @@ def is_empty(poly):
     return find_feasible_point(poly) is None
 
 
-@dataclass(frozen=True)
-class ProjectionResult:
-    """Projection point with its KKT certificate."""
-
-    point: np.ndarray
-    active: tuple
-    multipliers: np.ndarray
-
-    def displacement_matches(self, poly, u):
-        """Check ``u - point = A_J^T multipliers`` within ``KKT_TOL``."""
-        AJ = poly.A[list(self.active)]
-        resid = (u - self.point) - AJ.T @ self.multipliers
-        return float(np.linalg.norm(resid)) <= KKT_TOL * (1.0 + np.linalg.norm(u))
-
-
 def _as_point(poly, u):
     u = np.asarray(u, dtype=float)
     if u.shape != (poly.dim,):
@@ -155,23 +149,14 @@ def _as_point(poly, u):
 
 
 def project_polyhedron(poly, u):
-    """Euclidean projection of ``u`` onto a nonempty polyhedron.
+    """Euclidean projection of ``u`` onto a nonempty polyhedron: a one-shot
+    :class:`Projector`.
 
-    Returns the projected point; ``project_brute_force`` must agree with
-    it (this is asserted by the test suite on random instances).
     Raises ``Infeasible`` when the polyhedron is empty and ``NoCertificate``
-    when no KKT-certified candidate is found, which indicates a tolerance
-    failure on badly scaled input.
+    when the active-set loop does not terminate, which indicates a
+    tolerance failure on badly scaled input.
     """
-    return project_with_certificate(poly, u).point
-
-
-def project_with_certificate(poly, u):
-    """``project_polyhedron`` with its KKT certificate, a ``ProjectionResult``."""
-    u = _as_point(poly, u)
-    if poly.num_rows == 0:
-        return ProjectionResult(u.copy(), (), np.zeros(0))
-    return _project_active_set(poly, u)
+    return Projector(poly)(u)
 
 
 @dataclass(frozen=True)
@@ -221,7 +206,7 @@ class Projector:
     returns it only if it is KKT-certified: no row violated by more
     than ``KKT_TOL * scale`` (the cold loop's feasibility slack), the
     rows of J tight to the same slack, and every multiplier ``>= 0``
-    exactly (the cold loop lets a working multiplier end at ``-KKT_TOL``).
+    exactly (the cold loop's final multipliers may round below zero).
     Otherwise it runs the cold loop and caches the active set of that
     result.  ``hits`` and ``misses`` count the two outcomes; ``accept``
     adds a block's certified points to ``hits``.
@@ -279,9 +264,9 @@ class Projector:
             self.hits += 1
             return x
         self.misses += 1
-        res = _project_active_set(self.poly, u)
-        self._cache(res.active)
-        return res.point
+        x, active = _project_active_set(self.poly, u)
+        self._cache(active)
+        return x
 
 
 def _candidate(poly, J, u):
@@ -342,82 +327,48 @@ def _solve_working_set(poly, u, W):
 
 
 def _project_active_set(poly, u):
-    """Dual active-set projection (Goldfarb-Idnani style for a unit
-    Hessian).
-
-    Maintains a working set W of linearly independent rows held exactly
-    at equality with multipliers lam >= 0; the primal point is
-    ``u - A_W^T lam``.  The most violated row enters W; rows whose
-    multiplier would turn negative leave.  A violated row lying in the
-    span of A_W triggers a pure dual step that swaps out a blocking row
-    (if no row blocks, the polyhedron is empty by duality).
-    Self-starting: no feasible initial point is needed.
-    """
-    m, tol = poly.num_rows, KKT_TOL
-    scale = 1.0 + float(np.linalg.norm(u)) + float(np.abs(poly.b).max(initial=0.0))
-    W = []
-    lam_W = np.zeros(0)
+    """``(point, active)``: the projection of ``u`` by the dual method of
+    Goldfarb and Idnani for a unit Hessian (see the module docstring)."""
+    A, b = poly.A, poly.b
+    slack = KKT_TOL * (1.0 + float(np.linalg.norm(u)) + float(np.abs(b).max(initial=0.0)))
+    W, lam = [], np.zeros(0)
     x = u.copy()
-    max_outer = 50 * (m + 2)
-    for _ in range(max_outer):
-        viol = poly.A @ x - poly.b
-        if W:
-            viol[W] = 0.0  # working rows are tight up to solve precision
-        p = int(np.argmax(viol)) if m else 0
-        if m == 0 or viol[p] <= tol * scale:
-            mult = np.zeros(m)
+    for _ in range(50 * (poly.num_rows + 2)):
+        viol = A @ x - b
+        viol[W] = 0.0  # working rows are tight up to rounding
+        p = int(np.argmax(viol))
+        if viol[p] <= slack:
+            lam = _solve_working_set(poly, u, W)
+            return u - A[W].T @ lam, tuple(sorted(i for i, l in zip(W, lam) if l > 0.0))
+        a_p, lam_p = A[p], 0.0
+        # a_p is dependent on A_W when |z| <= 1e-10 max(1, |a_p|)
+        dependent_zz = 1e-20 * max(1.0, a_p @ a_p)
+        while True:  # dual steps on row p: each one adds p or drops a row of W
             if W:
-                mult[W] = lam_W
-            keep = sorted(i for i in W if mult[i] > 0.0)
-            return ProjectionResult(x, tuple(keep),
-                                    mult[keep] if keep else np.zeros(0))
-        # let row p enter W; if a_p lies in span(A_W), a pure dual step
-        # swaps out one blocking row first (removing a row carrying a
-        # nonzero coefficient of a_p makes p independent of the rest)
-        a_p = poly.A[p]
-        dependent = False
-        if W:
-            AW = poly.A[W]
-            r = np.linalg.solve(AW @ AW.T, AW @ a_p)
-            z = a_p - AW.T @ r
-            dependent = np.linalg.norm(z) <= 1e-10 * max(1.0, np.linalg.norm(a_p))
-        if dependent:
-            blocking = r > tol
-            if not np.any(blocking):
+                AW = A[W]
+                r = np.linalg.solve(AW @ AW.T, AW @ a_p)
+                z = a_p - r @ AW
+            else:
+                r, z = np.zeros(0), a_p
+            blocking = np.flatnonzero(r > 0.0)
+            steps = lam[blocking] / r[blocking]
+            partial = steps.min(initial=math.inf)
+            dependent = z @ z <= dependent_zz
+            if dependent and not blocking.size:
                 raise Infeasible("dual ray found: the polyhedron is empty")
-            steps = lam_W[blocking] / r[blocking]
-            j_local = int(np.flatnonzero(blocking)[np.argmin(steps)])
-            t = float(lam_W[j_local] / r[j_local])
-            lam_W = lam_W - t * r
-            del W[j_local]
-            lam_W = np.delete(lam_W, j_local)
-            W.append(p)
-            lam_W = np.append(lam_W, t)  # primal point x is unchanged
-        else:
-            W.append(p)
-            lam_W = np.append(lam_W, 0.0)
-        lam_new = _solve_working_set(poly, u, W)
-        # inner loop: walk toward lam_new, dropping rows that hit zero
-        guard = 0
-        while lam_new.min(initial=0.0) < -tol:
-            guard += 1
-            if guard > 4 * m + 8:
-                raise NoCertificate("multiplier cycling in active-set projection")
-            neg = lam_new < -tol
-            with np.errstate(divide="ignore", invalid="ignore"):
-                steps = lam_W[neg] / (lam_W[neg] - lam_new[neg])
-            t = float(np.clip(np.min(steps), 0.0, 1.0))
-            lam_W = lam_W + t * (lam_new - lam_W)
-            drop = [i for i, l in enumerate(lam_W) if l <= tol * 1e-4 and W[i] != p]
-            if not drop:
-                drop = [int(np.argmin(lam_new))]
-            for i in sorted(drop, reverse=True):
-                del W[i]
-            lam_W = np.delete(lam_W, drop)
-            lam_new = _solve_working_set(poly, u, W)
-        lam_W = lam_new
-        x = u - poly.A[W].T @ lam_W
-    # degenerate row patterns can cycle; settle emptiness before giving up
+            full = math.inf if dependent else (a_p @ x - b[p]) / (z @ z)
+            t = min(partial, full)
+            if not dependent:
+                x = x - t * z
+            lam, lam_p = np.maximum(lam - t * r, 0.0), lam_p + t
+            if full <= partial:
+                W.append(p)
+                lam = np.append(lam, lam_p)
+                break
+            j = int(blocking[np.argmin(steps)])
+            del W[j]
+            lam = np.delete(lam, j)
+    # rounding can still cycle; settle emptiness before giving up
     if is_empty(poly):
         raise Infeasible("polyhedron is empty")
     raise NoCertificate("active-set projection did not terminate")

@@ -244,18 +244,23 @@ def _null_inclusion_residual(instance, fixset):
 def _qp_claims(instance, cert, fixset, K, terminal, sampled):
     """The QP's checks and fields, as ``_lp_claims``.  ``K`` is the
     largest bound over the pieces meeting the fixed set, the per-piece
-    value the closed forms must dominate."""
+    value the closed forms must dominate.  The compact forms exist only
+    at ``gamma0 = 1/2``; elsewhere the terminal check uses the relaxed rate."""
     fit, fit_mode = terminal
-    compact_K = cert.extras.get("K_compact", np.inf)
-    rate = cert.extras.get("rho_compact", cert.rho_dist_relaxed)
     null_res = _null_inclusion_residual(instance, fixset)
     checks = [
         CheckResult("per-piece bound within closed-form certificate",
-                    K <= cert.K * (1.0 + 1e-9), K, cert.K, "certified pieces"),
-        CheckResult("per-piece bound within compact certificate",
-                    K <= compact_K * (1.0 + 1e-9), K, compact_K,
-                    "certified pieces"),
-        CheckResult("terminal residual contraction within compact rate + 0.02",
+                    K <= cert.K * (1.0 + 1e-9), K, cert.K, "certified pieces")]
+    certified = {"rho_dist_relaxed": cert.rho_dist_relaxed}
+    rate, rate_name = cert.rho_dist_relaxed, "relaxed"
+    if "K_compact" in cert.extras:
+        compact_K, rate, rate_name = cert.extras["K_compact"], cert.extras["rho_compact"], "compact"
+        checks.append(CheckResult("per-piece bound within compact certificate",
+                                  K <= compact_K * (1.0 + 1e-9), K, compact_K,
+                                  "certified pieces"))
+        certified = {"K_compact": compact_K, **certified, "rho_compact": rate}
+    checks += [
+        CheckResult(f"terminal residual contraction within {rate_name} rate + 0.02",
                     fit <= rate + 0.02, fit, rate + 0.02, fit_mode),
         CheckResult("null-space inclusion residual",
                     null_res <= 1e-8, null_res, 1e-8),
@@ -263,8 +268,6 @@ def _qp_claims(instance, cert, fixset, K, terminal, sampled):
     ]
     problem = {"kappa_plus": cert.extras["kappa_plus"],
                "gamma0": cert.extras["gamma0"]}
-    certified = {"K_compact": compact_K, "rho_dist_relaxed": cert.rho_dist_relaxed,
-                 "rho_compact": rate}
     return problem, certified, checks
 
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from fpicert import cli, problems
+from fpicert.linalg import lambda_max_psd
 from fpicert.polyhedra import Polyhedron
 
 TINY_LP = "A: -1\nb: 0\nc: 1\nkind: lp\nm: 1\nn: 1\n"
@@ -190,6 +191,26 @@ def test_verify_failure_exit_five(tmp_path):
     reports = json.loads(Path(out + ".json").read_text())
     failed = [c["name"] for r in reports for c in r["checks"] if not c["passed"]]
     assert all("closed-form" in n or "compact" in n for n in failed)
+
+
+def test_verify_qp_away_from_half_claims_no_compact_certificate(tmp_path):
+    # the compact forms exist only at gamma0 = 1/2; at 0.3 there is no
+    # compact constant to check against, and no infinity in the JSON
+    inst, _ = problems.generate_qp(3, 6, 3, seed=4)
+    path = tmp_path / "qp.txt"
+    problems.save(inst, path)
+    out = str(tmp_path / "vqp.txt")
+    gamma = 0.3 / lambda_max_psd(inst.Q)
+    rc = cli.main(["verify", str(path), "--gamma", repr(gamma), "--out", out])
+    assert rc == cli.EXIT_OK
+
+    def reject(constant):
+        raise ValueError(f"{constant} is not strict JSON")
+
+    [report] = json.loads(Path(out + ".json").read_text(), parse_constant=reject)
+    assert report["problem"]["gamma0"] == pytest.approx(0.3)
+    names = [c["name"] for c in report["checks"]] + list(report["certified"])
+    assert not any("compact" in name for name in names)
 
 
 @pytest.mark.parametrize("argv", [
