@@ -151,8 +151,7 @@ def cmd_solve(args):
     return EXIT_OK if trace.stop_reason == STOP_RESIDUAL else EXIT_MAX_ITERS
 
 
-def _piece_table(pieces, fixset):
-    meeting = {id(p) for p in fixset.pieces}
+def _piece_table(pieces, meeting):
     lines = ["active_set  rank  sigma_min_plus  hoffman_bound  meets_fixed_set"
              "  min_residual(sampled upper bound)"]
     small = len(pieces) <= 64  # longer tables skip the sampled column
@@ -171,12 +170,13 @@ def cmd_analyze(args):
     instance = problems.load(args.problem)
     gamma = verify.default_gamma(instance) if args.gamma is None else args.gamma
     pieces, fixset, K, cert, _ = verify.certify(instance, gamma, args.alpha)
+    meeting = {id(p) for p in fixset.pieces}
     rate = rates.rates_from_K(args.alpha, K)
     lines = [f"problem: {args.problem} (kind={instance.kind}, "
              f"n={instance.dim}, m={instance.X.num_rows})",
              f"params: gamma={gamma} alpha={args.alpha}",
              "",
-             *_piece_table(pieces, fixset),
+             *_piece_table(pieces, meeting),
              "",
              f"K (max piece bound over pieces meeting the fixed set): {K!r}",
              f"closed-form certificate [{cert.source}]: K <= {cert.K}",
@@ -192,7 +192,7 @@ def cmd_analyze(args):
                "pieces": [{"active": list(p.active),
                            "sigma_min_plus": p.sigma_min_plus,
                            "hoffman_bound": p.hoffman_bound,
-                           "meets_fixed_set": any(q is p for q in fixset.pieces)}
+                           "meets_fixed_set": id(p) in meeting}
                           for p in pieces]}
     with open(args.out + ".json", "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)

@@ -116,6 +116,8 @@ def make_proximal_gradient(f, g, lam):
     fixed points minimize f + g.  With the indicator of a polyhedron S as
     g it is projected gradient, ``proj_S(x - lam * grad f(x))``."""
     Q, c = _gradient_data(f)
+    if lam <= 0:
+        raise ValueError("lambda must be positive")
     if g.dimension != f.dimension:
         raise ValueError("f and g live in different spaces")
     alpha = compose_alpha(_gd_alpha(lam, lambda_max_psd(Q)), 0.5)
@@ -248,8 +250,6 @@ def make_dr(f, g, gamma, alpha):
     point."""
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
-    if gamma <= 0:
-        raise ValueError("gamma must be positive")
     if f.dimension != g.dimension:
         raise ValueError("f and g live in different spaces")
     prov = Provenance("dr", {"gamma": gamma, "alpha": alpha})

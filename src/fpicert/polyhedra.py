@@ -7,17 +7,21 @@ layer builds the regions it projects onto.
 Two projection routes are provided and kept deliberately independent:
 
 * ``project_polyhedron`` runs the dual active-set method of Goldfarb
-  and Idnani (Math. Programming 27, 1983) for a unit Hessian.  A working
-  set W of independent rows is held at equality with multipliers
-  ``lam >= 0`` at the point ``u - A_W^T lam``.  The most violated row p
-  enters by dual steps: its multiplier grows by t, ``lam`` moves by
-  ``-t r`` with ``r = inv(A_W A_W^T) A_W a_p`` and the point by ``-t z``
-  with ``z = a_p - A_W^T r``.  A full step makes p tight and adds it; a
-  step cut short where a working multiplier reaches zero drops that row
-  and goes on with the same p, which is never dropped.  A p in the span
-  of A_W with no blocking row proves the polyhedron empty.  No feasible
-  start is needed; the point is recomputed from the final working set.
-  Polynomial in practice; every caller in the package uses it.
+  and Idnani (Math. Programming 27, 1983) for a unit Hessian once and
+  keeps no warm-start state.  A working set W of independent rows is
+  held at equality with multipliers ``lam >= 0`` at the point
+  ``u - A_W^T lam``.  The most violated row p enters by dual steps: its
+  multiplier grows by t, ``lam`` moves by ``-t r`` with
+  ``r = inv(A_W A_W^T) A_W a_p`` and the point by ``-t z`` with
+  ``z = a_p - A_W^T r``.  A full step makes p tight and adds it; a step
+  cut short where a working multiplier reaches zero drops that row and
+  goes on with the same p, which is never dropped.  No feasible start
+  is needed; the point is recomputed from the final working set.  The
+  loop raises ``Infeasible`` or ``NoCertificate`` only: a p in the span
+  of A_W with no blocking row is a dual ray that proves the polyhedron
+  empty, and every other dead end (a singular working set, a step that
+  overflows or turns NaN, no termination) leaves by one exit, where
+  HiGHS settles emptiness.  Every caller in the package uses the loop.
 * ``project_brute_force`` enumerates index sets J with
   ``rank(A_J^T) = |J|``, projects onto each candidate affine subspace
   and keeps the candidate whose KKT certificate (primal feasibility +
@@ -31,7 +35,6 @@ the face of the last certified active set first and accepts the result
 only if it is feasible within the cold loop's slack and its multipliers
 are nonnegative, falling back to the cold loop otherwise; it also tests
 whole blocks of points against its held face under the same rule.
-``project_polyhedron`` is a one-shot ``Projector``.
 """
 
 import math
@@ -149,14 +152,10 @@ def _as_point(poly, u):
 
 
 def project_polyhedron(poly, u):
-    """Euclidean projection of ``u`` onto a nonempty polyhedron: a one-shot
-    :class:`Projector`.
-
-    Raises ``Infeasible`` when the polyhedron is empty and ``NoCertificate``
-    when the active-set loop does not terminate, which indicates a
-    tolerance failure on badly scaled input.
-    """
-    return Projector(poly)(u)
+    """Euclidean projection of ``u`` onto a nonempty polyhedron: the
+    active-set loop run once, keeping no warm-start state.  Raises
+    ``Infeasible`` or ``NoCertificate`` (see the module docstring)."""
+    return _project_active_set(poly, _as_point(poly, u))[0]
 
 
 @dataclass(frozen=True)
@@ -314,18 +313,6 @@ def project_brute_force(poly, u):
     return best
 
 
-def _solve_working_set(poly, u, W):
-    """Multipliers for the equality-constrained projection onto rows W."""
-    AW = poly.A[W]
-    G = AW @ AW.T
-    rhs = AW @ u - poly.b[W]
-    try:
-        lam = np.linalg.solve(G, rhs)
-    except np.linalg.LinAlgError:
-        lam = np.linalg.lstsq(G, rhs, rcond=None)[0]
-    return lam
-
-
 def _project_active_set(poly, u):
     """``(point, active)``: the projection of ``u`` by the dual method of
     Goldfarb and Idnani for a unit Hessian (see the module docstring)."""
@@ -333,42 +320,51 @@ def _project_active_set(poly, u):
     slack = KKT_TOL * (1.0 + float(np.linalg.norm(u)) + float(np.abs(b).max(initial=0.0)))
     W, lam = [], np.zeros(0)
     x = u.copy()
-    for _ in range(50 * (poly.num_rows + 2)):
-        viol = A @ x - b
-        viol[W] = 0.0  # working rows are tight up to rounding
-        p = int(np.argmax(viol))
-        if viol[p] <= slack:
-            lam = _solve_working_set(poly, u, W)
-            return u - A[W].T @ lam, tuple(sorted(i for i, l in zip(W, lam) if l > 0.0))
-        a_p, lam_p = A[p], 0.0
-        # a_p is dependent on A_W when |z| <= 1e-10 max(1, |a_p|)
-        dependent_zz = 1e-20 * max(1.0, a_p @ a_p)
-        while True:  # dual steps on row p: each one adds p or drops a row of W
-            if W:
-                AW = A[W]
-                r = np.linalg.solve(AW @ AW.T, AW @ a_p)
-                z = a_p - r @ AW
-            else:
-                r, z = np.zeros(0), a_p
-            blocking = np.flatnonzero(r > 0.0)
-            steps = lam[blocking] / r[blocking]
-            partial = steps.min(initial=math.inf)
-            dependent = z @ z <= dependent_zz
-            if dependent and not blocking.size:
-                raise Infeasible("dual ray found: the polyhedron is empty")
-            full = math.inf if dependent else (a_p @ x - b[p]) / (z @ z)
-            t = min(partial, full)
-            if not dependent:
-                x = x - t * z
-            lam, lam_p = np.maximum(lam - t * r, 0.0), lam_p + t
-            if full <= partial:
-                W.append(p)
-                lam = np.append(lam, lam_p)
-                break
-            j = int(blocking[np.argmin(steps)])
-            del W[j]
-            lam = np.delete(lam, j)
-    # rounding can still cycle; settle emptiness before giving up
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            for _ in range(50 * (poly.num_rows + 2)):
+                viol = A @ x - b
+                viol[W] = 0.0  # working rows are tight up to rounding
+                if viol.max(initial=-math.inf) <= slack:
+                    AW = A[W]
+                    G, rhs = AW @ AW.T, AW @ u - b[W]
+                    try:
+                        lam = np.linalg.solve(G, rhs)
+                    except np.linalg.LinAlgError:
+                        lam = np.linalg.lstsq(G, rhs, rcond=None)[0]
+                    return u - AW.T @ lam, tuple(sorted(i for i, l in zip(W, lam) if l > 0.0))
+                p = int(np.argmax(viol))
+                a_p, lam_p = A[p], 0.0
+                # a_p is dependent on A_W when |z| <= 1e-10 max(1, |a_p|)
+                dependent_zz = 1e-20 * max(1.0, a_p @ a_p)
+                while True:  # dual steps on row p: each one adds p or drops a row of W
+                    if W:
+                        AW = A[W]
+                        r = np.linalg.solve(AW @ AW.T, AW @ a_p)
+                        z = a_p - r @ AW
+                    else:
+                        r, z = np.zeros(0), a_p
+                    blocking = np.flatnonzero(r > 0.0)
+                    steps = lam[blocking] / r[blocking]
+                    partial = steps.min(initial=math.inf)
+                    dependent = z @ z <= dependent_zz
+                    if dependent and not blocking.size:
+                        raise Infeasible("dual ray found: the polyhedron is empty")
+                    full = math.inf if dependent else (a_p @ x - b[p]) / (z @ z)
+                    t = min(partial, full)
+                    if not dependent:
+                        x = x - t * z
+                    lam, lam_p = np.maximum(lam - t * r, 0.0), lam_p + t
+                    if full <= partial:
+                        W.append(p)
+                        lam = np.append(lam, lam_p)
+                        break
+                    j = int(blocking[np.argmin(steps)])
+                    del W[j]
+                    lam = np.delete(lam, j)
+    except (np.linalg.LinAlgError, FloatingPointError):
+        pass  # a singular working set or an overflowing step: a dead end
+    # the one failure exit (a dead end or a rounding cycle): HiGHS decides
     if is_empty(poly):
         raise Infeasible("polyhedron is empty")
     raise NoCertificate("active-set projection did not terminate")

@@ -264,10 +264,10 @@ def generate_qp(n, m, rank_q, seed, kappa_plus=4.0):
     return inst, GeneratedTruth(x_star)
 
 
-def example_contraction_operator(lam, dim=1):
-    """The scaled-identity contraction ``x -> (1 - lam) x``: gradient
-    descent with step lam on ``0.5 ||x||^2``. Fixed point: the origin."""
-    return make_gd(fn.quadratic(np.eye(dim), np.zeros(dim)), lam)
+def example_contraction_operator(lam):
+    """The contraction ``x -> (1 - lam) x`` on the real line: gradient
+    descent with step lam on ``0.5 x^2``. Fixed point: the origin."""
+    return make_gd(fn.quadratic(np.eye(1), np.zeros(1)), lam)
 
 
 def example_rotation_operator(theta):

@@ -144,5 +144,5 @@ def qp_certificate(alpha, gamma, lambda_max, kappa_plus):
     extras = {"gamma0": gamma0, "kappa_plus": kappa_plus}
     if abs(gamma0 - 0.5) <= 1e-12:
         extras["K_compact"] = 3.0 * kappa_plus / alpha
-        extras["rho_compact"] = 1.0 - alpha * (1.0 - alpha) / (18.0 * kappa_plus ** 2)
+        extras["rho_compact"] = rates_from_K(alpha, extras["K_compact"]).rho_dist_relaxed
     return replace(cert, source="qp_certificate", extras=extras)

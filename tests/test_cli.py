@@ -72,6 +72,16 @@ def test_solve_prox_demo_with_q_and_l1_exits_two(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("algorithm", ["gp", "pg"])
+@pytest.mark.parametrize("lam", ["-1", "0"])
+def test_solve_bad_step_names_lambda(algorithm, lam, tiny_lp, tmp_path, capsys):
+    # gp and pg step at --lambda and never read --gamma
+    rc = cli.main(["solve", tiny_lp, "--algorithm", algorithm, "--lambda", lam,
+                   "--out", str(tmp_path / "t.csv")])
+    assert rc == cli.EXIT_INVALID
+    assert "lambda must be positive" in capsys.readouterr().err
+
+
 def test_solve_trace_deterministic(tiny_lp, tmp_path):
     out1, out2 = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
     for out in (out1, out2):

@@ -8,6 +8,7 @@ from fpicert.polyhedra import (KKT_TOL, Polyhedron, Projector, affine_rows,
                                face_feasible_point, find_feasible_point,
                                intersect, is_empty, project_brute_force,
                                project_polyhedron, whole_space)
+from fpicert.problems import generate_lp, generate_qp
 
 
 def _random_nonempty(rng, n, m):
@@ -181,6 +182,26 @@ def test_near_parallel_rows_do_not_cycle():
     assert project.active == (2, 4)
     assert np.abs(x - project_brute_force(X, u)).max() <= 1e-12
     assert np.array_equal(project_polyhedron(X, u), x)
+
+
+@pytest.mark.parametrize("generate, args, J", [
+    (generate_lp, (6, 16, 1000), (0, 1, 4, 9, 11)),
+    (generate_lp, (8, 16, 1001), (7, 11)),
+    (generate_qp, (8, 16, 6, 1001), (2, 7, 11)),
+    (generate_qp, (6, 16, 4, 0), (2, 5, 10)),
+], ids=["lp-n6-m16-s1000", "lp-n8-m16-s1001", "qp-n8-m16-r6-s1001",
+        "qp-n6-m16-r4-s0"])
+def test_dead_ends_on_empty_faces_raise_infeasible(generate, args, J):
+    # faces of the face walk made empty by paired equality rows, where the
+    # dual steps overflow before they find a dual ray; with warnings as
+    # errors (pyproject.toml) an escaping overflow warning fails too
+    X = generate(*args)[0].X
+    P = intersect(X, affine_rows(X.A[list(J)], X.b[list(J)]))
+    assert is_empty(P)
+    with pytest.raises(Infeasible):
+        project_polyhedron(P, np.zeros(X.dim))
+    with pytest.raises(Infeasible):
+        Projector(P)(np.zeros(X.dim))
 
 
 @settings(max_examples=200, deadline=None)
