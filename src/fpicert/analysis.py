@@ -282,6 +282,7 @@ class FixedPointSetDescription:
         ``KKT_TOL * (1 + ||z||)``, which makes it exact.  ``||B x - e||``
         over all sets at once picks, within roundoff, the sets to project on."""
         P, c = self._stacked_zero_sets
+        # skips the projections onto far zero sets; lp-n6-m12-s14's fixed set has 345
         bound = np.linalg.norm(xs @ P - c[:, None, :], axis=2)
         near = bound <= bound.min(axis=0) + 1e-12 * (1.0 + np.linalg.norm(xs, axis=1))
         lower = np.full(xs.shape[0], np.inf)

@@ -213,7 +213,7 @@ def _write_reports(reports, out_path):
 
 def cmd_verify(args):
     reports = []
-    seeds = [int(s) for s in str(args.seeds).split(",") if s != ""]
+    seeds = [int(s) for s in args.seeds.split(",")]
 
     def check(instance, truth, seed):
         reports.append(verify.verify_splitting(
@@ -230,7 +230,7 @@ def cmd_verify(args):
         for seed in seeds:
             check(*problems.generate_lp(args.n, args.m, seed), seed)
     elif args.builtin == "qp-batch":
-        rank_q = args.rank_q or max(1, args.n - 1)
+        rank_q = max(1, args.n - 1) if args.rank_q is None else args.rank_q
         for seed in seeds:
             check(*problems.generate_qp(args.n, args.m, rank_q, seed), seed)
     elif args.problem is not None:

@@ -16,14 +16,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import EmptyFixedSet, NonFinite, TooShort
+from .errors import EmptyFixedSet, NonFinite
 
 STOP_RESIDUAL = "residual_tol"
 STOP_MAX_ITERS = "max_iters"
-
-#: Share of a trace's residuals, counted from its end, that
-#: ``fit_asymptotic_rate`` fits.
-TAIL_FRACTION = 0.25
 
 
 @dataclass
@@ -138,9 +134,10 @@ def estimate_rates(F, fixset, R, samples=200, seed=0):
 
     Points are drawn as ``representative + r * direction`` with uniform
     direction and radius ``r`` uniform on (0, R].  Samples that land on
-    the fixed set itself are excluded.  The samples and then their images
-    are measured with one ``distances`` call each.  Deterministic for a
-    given seed.
+    the fixed set itself are excluded (``EmptyFixedSet`` when all do).
+    The samples and then their images are measured with one ``distances``
+    call each; a sample with a zero residual gives ``k_tilde = inf``.
+    Deterministic for a given seed.
     """
     if fixset is None or getattr(fixset, "representative", None) is None:
         raise EmptyFixedSet("estimate_rates needs a nonempty fixed-point set")
@@ -152,48 +149,20 @@ def estimate_rates(F, fixset, R, samples=200, seed=0):
     xs = []
     for _ in range(samples):
         direction = rng.standard_normal(n)
-        norm = np.linalg.norm(direction)
-        if norm == 0.0:
-            continue
-        xs.append(center + (R * rng.uniform(0.0, 1.0)) * direction / norm)
+        xs.append(center + (R * rng.uniform(0.0, 1.0)) * direction
+                  / np.linalg.norm(direction))
     xs = np.reshape(xs, (-1, n))
     d_xs = fixset.distances(xs)
     kept = d_xs > 1e-14 * (1.0 + np.linalg.norm(xs, axis=1))
     xs, d_xs = xs[kept], d_xs[kept]
+    if len(xs) == 0:
+        raise EmptyFixedSet("all samples landed on the fixed-point set")
     fxs = np.reshape([F.evaluate(x) for x in xs], xs.shape)
     d_fxs = fixset.distances(fxs)
-    rho_max = 0.0
-    k_max = 0.0
-    for x, fx, d_x, d_fx in zip(xs, fxs, d_xs.tolist(), d_fxs.tolist()):
-        residual = float(np.linalg.norm(fx - x))
-        rho_max = max(rho_max, d_fx / d_x)
-        if residual > 0.0:
-            k_max = max(k_max, d_x / residual)
-        else:
-            k_max = np.inf
-    used = len(xs)
-    if used == 0:
-        raise EmptyFixedSet("all samples landed on the fixed-point set")
-    return EmpiricalRates(rho_tilde=rho_max, k_tilde=k_max,
-                          sample_radius=float(R), sample_count=used,
-                          seed=int(seed))
+    residuals = np.array([np.linalg.norm(fx - x) for x, fx in zip(xs, fxs)])
+    with np.errstate(divide="ignore"):
+        k_tilde = np.max(d_xs / residuals)
+    return EmpiricalRates(rho_tilde=float(np.max(d_fxs / d_xs)),
+                          k_tilde=float(k_tilde), sample_radius=float(R),
+                          sample_count=len(xs), seed=int(seed))
 
-
-def fit_asymptotic_rate(trace):
-    """Geometric-mean residual contraction over the final stretch of a
-    trace.
-
-    Uses the last ``ceil(TAIL_FRACTION * num_steps)`` residuals; requires
-    at least 10 of them to be positive (``TooShort`` otherwise).  A zero
-    residual inside the window means the iteration reached a fixed point
-    exactly, and the fitted rate is 0.0.
-    """
-    r = np.asarray(trace.residuals, dtype=float)
-    window = r[max(0, len(r) - int(np.ceil(TAIL_FRACTION * len(r)))):]
-    positive = window[window > 0.0]
-    if positive.size < 10:
-        raise TooShort(f"only {positive.size} positive residuals in the tail")
-    if np.any(window == 0.0):
-        return 0.0
-    ratios = np.log(window[1:]) - np.log(window[:-1])
-    return float(np.exp(ratios.mean()))

@@ -40,10 +40,6 @@ class NoFixedPoints(FpicertError):
     """No piece of the analyzed operator contains a zero of its residual map."""
 
 
-class TooShort(FpicertError):
-    """Trace has too few usable steps for the requested fit."""
-
-
 class TooLarge(FpicertError):
     """Active-set enumeration would exceed the configured budget."""
 

@@ -60,10 +60,6 @@ class FixedPointOperator:
 def compose_alpha(a1, a2):
     """Averaging parameter of the composition of an a1- and an
     a2-averaged operator; an isometric factor enters as a = 0."""
-    if a1 == 0.0:
-        return a2
-    if a2 == 0.0:
-        return a1
     return (a1 + a2 - 2.0 * a1 * a2) / (1.0 - a1 * a2)
 
 

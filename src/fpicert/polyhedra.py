@@ -86,9 +86,7 @@ class Polyhedron:
         return excess.max(axis=-1, initial=-np.inf) <= tol
 
     def violation(self, x):
-        if self.num_rows == 0:
-            return 0.0
-        return float(np.maximum(self.A @ x - self.b, 0.0).max())
+        return float(np.maximum(self.A @ x - self.b, 0.0).max(initial=0.0))
 
 
 def whole_space(dim):

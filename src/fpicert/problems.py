@@ -240,12 +240,8 @@ def generate_qp(n, m, rank_q, seed, kappa_plus=4.0):
         raise ValueError("an unconstrained instance needs full-rank Q")
     rng = np.random.default_rng(seed)
     V, _ = np.linalg.qr(rng.standard_normal((n, n)))
-    if rank_q == 1:
-        eigs = np.array([1.0])
-    else:
-        eigs = np.geomspace(1.0, 1.0 / kappa_plus, rank_q)
     lam = np.zeros(n)
-    lam[:rank_q] = eigs
+    lam[:rank_q] = np.geomspace(1.0, 1.0 / kappa_plus, rank_q)
     Q = (V * lam) @ V.T
     Q = 0.5 * (Q + Q.T)
     x_star = rng.standard_normal(n)

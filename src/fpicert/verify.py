@@ -20,7 +20,6 @@ import numpy as np
 
 from . import analysis, engine, operators, problems, rates
 from .engine import STOP_RESIDUAL
-from .errors import TooShort
 from .linalg import condition_number_plus, lambda_max_psd
 
 #: Default sweep radii for exposing the region where the error bound is
@@ -35,6 +34,10 @@ MAX_ITERS = 200_000
 #: A residual at or below this times ``1 + ||limit||`` is roundoff: a few
 #: hundred units of double precision, far below the stopping tolerance.
 ROUNDOFF_FLOOR = 1e-13
+
+#: Share of a trace's residuals, counted from its end, that
+#: ``terminal_contraction`` fits.
+TAIL_FRACTION = 0.25
 
 
 @dataclass
@@ -92,20 +95,29 @@ class ExperimentReport:
 
 
 def terminal_contraction(trace):
-    """Fitted terminal residual contraction with a fallback for runs
-    that stop after a handful of steps: 0.0 once a residual falls to
-    ``ROUNDOFF_FLOOR * (1 + ||limit||)``, else the geometric-mean ratio
-    over all residuals (an upper bound on the terminal ratio for monotone
-    residuals)."""
-    try:
-        return engine.fit_asymptotic_rate(trace), "tail-fit"
-    except TooShort:
-        r = np.asarray(trace.residuals)
-        if np.any(r <= ROUNDOFF_FLOOR * (1.0 + np.linalg.norm(trace.limit))):
-            return 0.0, "finite-convergence"
-        if r.size < 2:
-            return 0.0, "immediate-convergence"
-        return float((r[-1] / r[0]) ** (1.0 / (r.size - 1))), "finite-convergence-fallback"
+    """Terminal residual contraction of a run and how it was measured.
+
+    ``tail-fit``: the geometric-mean ratio over the last
+    ``ceil(TAIL_FRACTION * num_steps)`` residuals when at least 10 of
+    them are positive, 0.0 when one of them is zero (an exact fixed
+    point).  Runs with a shorter tail fall back to 0.0 once a residual
+    falls to ``ROUNDOFF_FLOOR * (1 + ||limit||)`` (``finite-convergence``)
+    or after at most one step (``immediate-convergence``), else to the
+    geometric-mean ratio over all residuals, an upper bound on the
+    terminal ratio for monotone residuals (``finite-convergence-fallback``).
+    """
+    r = np.asarray(trace.residuals, dtype=float)
+    window = r[max(0, len(r) - int(np.ceil(TAIL_FRACTION * len(r)))):]
+    if np.count_nonzero(window > 0.0) >= 10:
+        if np.any(window == 0.0):
+            return 0.0, "tail-fit"
+        ratios = np.log(window[1:]) - np.log(window[:-1])
+        return float(np.exp(ratios.mean())), "tail-fit"
+    if np.any(r <= ROUNDOFF_FLOOR * (1.0 + np.linalg.norm(trace.limit))):
+        return 0.0, "finite-convergence"
+    if r.size < 2:
+        return 0.0, "immediate-convergence"
+    return float((r[-1] / r[0]) ** (1.0 / (r.size - 1))), "finite-convergence-fallback"
 
 
 def per_step_contraction_checks(trace, K, alpha):
@@ -165,7 +177,10 @@ def _verify_example(problem, op, R, k, rho, chain, tol, seed):
 
 
 def verify_example_contraction(lam, seed=0):
-    """Exactness checks for the scaled-identity contraction."""
+    """Exactness checks for the scaled-identity contraction.  Its factor
+    is ``|1 - lambda|``, so the claims hold only for lambda in (0, 1]."""
+    if not 0.0 < lam <= 1.0:
+        raise ValueError("lambda must lie in (0, 1]")
     return _verify_example(
         {"builtin": "example-contraction", "lambda": lam},
         problems.example_contraction_operator(lam), R=1.0,

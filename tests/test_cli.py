@@ -168,7 +168,7 @@ def test_analyze_budget_exit_four(tmp_path):
 
 def test_verify_builtin_contraction(tmp_path):
     out = str(tmp_path / "v3.txt")
-    rc = cli.main(["verify", "--builtin", "example3", "--lam-grid", "0.3,0.5",
+    rc = cli.main(["verify", "--builtin", "example3", "--lam-grid", "0.3,0.5,1",
                    "--out", out])
     assert rc == cli.EXIT_OK
     reports = json.loads(Path(out + ".json").read_text())
@@ -230,6 +230,14 @@ def test_verify_qp_away_from_half_claims_no_compact_certificate(tmp_path):
     ["analyze", "{lp}", "--alpha", "1.5"],
     ["verify", "{qp}", "--alpha", "0"],
     ["solve", "{lp}", "--algorithm", "dr", "--tol", "0"],
+    # rank 0 is rejected by the generator, not replaced by n - 1
+    ["verify", "--builtin", "qp-batch", "--n", "3", "--m", "6", "--rank-q", "0",
+     "--seeds", "0"],
+    # a batch with no seed would check nothing
+    ["verify", "--builtin", "lp-batch", "--seeds", ","],
+    ["verify", "--builtin", "lp-batch", "--seeds", ""],
+    # the factor is |1 - lambda|: the exact values hold only for lambda <= 1
+    ["verify", "--builtin", "example3", "--lam-grid", "1.5"],
 ])
 def test_invalid_flags_exit_two(argv, tiny_lp, tmp_path, capsys):
     inst, _ = problems.generate_qp(3, 5, 2, seed=6)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from fpicert import analysis, engine, problems, rates, verify
-from fpicert.errors import EmptyFixedSet, NonFinite, TooShort
+from fpicert.errors import EmptyFixedSet, NonFinite
 from fpicert.operators import FixedPointOperator, Provenance, make_dr
 
 
@@ -149,6 +149,19 @@ def test_estimate_rates_needs_fixed_set():
         engine.estimate_rates(op, None, R=1.0)
 
 
+def test_estimate_rates_rejects_samples_all_on_the_fixed_set():
+    # a fixed set that every sample lies on leaves nothing to reduce
+    class OnTheSet:
+        representative = np.zeros(2)
+
+        def distances(self, xs):
+            return np.zeros(len(xs))
+
+    op = problems.example_rotation_operator(np.pi / 2)
+    with pytest.raises(EmptyFixedSet, match="all samples"):
+        engine.estimate_rates(op, OnTheSet(), R=1.0, samples=20)
+
+
 def test_sandwich_on_shipped_operators():
     # measured quantities respect both two-sided chains
     cases = []
@@ -181,22 +194,24 @@ def test_fit_exact_geometric_sequence():
         iterates=np.zeros((41, 1)),
         residuals=q ** np.arange(40),
         limit=np.zeros(1), stop_reason=engine.STOP_MAX_ITERS)
-    assert engine.fit_asymptotic_rate(tr) == pytest.approx(q, abs=1e-12)
+    fit, mode = verify.terminal_contraction(tr)
+    assert fit == pytest.approx(q, abs=1e-12) and mode == "tail-fit"
 
 
 def test_fit_contraction_trace():
     lam = 0.3
     op = problems.example_contraction_operator(lam)
     tr = engine.iterate(op, np.array([1.0]), residual_tol=1e-11)
-    assert engine.fit_asymptotic_rate(tr) == pytest.approx(1 - lam, abs=1e-9)
+    fit, mode = verify.terminal_contraction(tr)
+    assert fit == pytest.approx(1 - lam, abs=1e-9) and mode == "tail-fit"
 
 
 def test_fit_too_short():
     tr = engine.IterationTrace(
         iterates=np.zeros((6, 1)), residuals=np.full(5, 0.5),
         limit=np.zeros(1), stop_reason=engine.STOP_MAX_ITERS)
-    with pytest.raises(TooShort):
-        engine.fit_asymptotic_rate(tr)
+    # five residuals leave no tail to fit: the ratio over all of them
+    assert verify.terminal_contraction(tr) == (1.0, "finite-convergence-fallback")
 
 
 def test_fit_zero_residual_means_finite_convergence():
@@ -205,7 +220,7 @@ def test_fit_zero_residual_means_finite_convergence():
     tr = engine.IterationTrace(
         iterates=np.zeros((61, 1)), residuals=r,
         limit=np.zeros(1), stop_reason=engine.STOP_MAX_ITERS)
-    assert engine.fit_asymptotic_rate(tr) == 0.0
+    assert verify.terminal_contraction(tr) == (0.0, "tail-fit")
 
 
 def test_terminal_contraction_counts_a_roundoff_residual_as_finite_convergence():
