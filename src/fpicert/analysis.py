@@ -146,11 +146,13 @@ def _enumerate_faces(X):
     order of size, then lexicographically.
 
     A face is certified nonempty by a stored feasible point that hits it
-    (``|A_J x - b_J| <= 1e-9 * scale``).  The store starts with a point
-    found by HiGHS and every basic feasible point (``_basic_points``),
-    which between them hit every nonempty face, so HiGHS
-    (``face_feasible_point``) runs in practice only to prove a face
-    empty; a point it does find joins the store.
+    (``|A_J x - b_J| <= 1e-9 * scale``).  The store starts with the basic
+    feasible points (``_basic_points``), which hit every nonempty face,
+    so HiGHS (``face_feasible_point``) runs for a face they miss, in
+    practice only to prove it empty; a point it does find joins the
+    store.  When no basic point is feasible (rank(A) = 0, or roundoff
+    kept every one out), the store is one point of HiGHS's
+    ``find_feasible_point``, which also decides that X is empty.
 
     The walk goes level by level: the candidates of size k are the sets
     whose every (k-1)-subset is a face, since a set with an empty subset
@@ -162,10 +164,12 @@ def _enumerate_faces(X):
     if m > MAX_ENUM_ROWS:
         raise TooLarge(f"{m} rows exceed the enumeration budget of "
                        f"{MAX_ENUM_ROWS}")
-    seed_point = find_feasible_point(X)
-    if seed_point is None:
-        raise Infeasible("the constraint polyhedron is empty")
     scale = 1.0 + float(np.abs(X.b).max(initial=0.0))
+    points = _basic_points(X, scale)
+    if not len(points):
+        points = find_feasible_point(X)
+        if points is None:
+            raise Infeasible("the constraint polyhedron is empty")
     bits = 1 << np.arange(m)
     row_sets = np.arange(1 << m)
 
@@ -174,7 +178,7 @@ def _enumerate_faces(X):
 
     # hit[S]: the row set S is tight at some stored point
     hit = np.zeros(1 << m, dtype=bool)
-    hit[tight_masks(np.vstack([seed_point, _basic_points(X, scale)]))] = True
+    hit[tight_masks(points)] = True
     for i in range(m):
         # S without row i is hit wherever S with row i is
         halves = hit.reshape(-1, 2, 1 << i)

@@ -182,10 +182,7 @@ def cmd_analyze(args):
              f"closed-form certificate [{cert.source}]: K <= {cert.K}",
              f"distance rate rho (from K): {rate.rho_dist}",
              f"relaxed distance rate: {rate.rho_dist_relaxed}",
-             f"note: {cert.valid_radius_note}"]
-    text = "\n".join(lines) + "\n"
-    with open(args.out, "w") as fh:
-        fh.write(text)
+             f"note: {rates.VALID_RADIUS_NOTE}"]
     payload = {"problem": args.problem, "kind": instance.kind,
                "gamma": gamma, "alpha": args.alpha,
                "K": K, "K_closed_form": cert.K, "certificate": cert.source,
@@ -194,20 +191,17 @@ def cmd_analyze(args):
                            "hoffman_bound": p.hoffman_bound,
                            "meets_fixed_set": id(p) in meeting}
                           for p in pieces]}
-    with open(args.out + ".json", "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    print(text, end="")
+    _write_report(args.out, "\n".join(lines) + "\n", payload)
     return EXIT_OK
 
 
-def _write_reports(reports, out_path):
-    text = "\n".join(r.to_text() for r in reports)
-    with open(out_path, "w") as fh:
+def _write_report(path, text, payload):
+    """Write ``text`` to ``path`` and ``payload`` as JSON to its ``.json``
+    twin, and echo the text."""
+    with open(path, "w") as fh:
         fh.write(text)
-    with open(out_path + ".json", "w") as fh:
-        fh.write(json.dumps([json.loads(r.to_json()) for r in reports],
-                            indent=2, sort_keys=True) + "\n")
+    with open(path + ".json", "w") as fh:
+        fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     print(text, end="")
 
 
@@ -237,7 +231,8 @@ def cmd_verify(args):
         check(problems.load(args.problem), None, args.seed)
     else:
         raise ValueError("give a problem file or --builtin")
-    _write_reports(reports, args.out)
+    _write_report(args.out, "\n".join(r.to_text() for r in reports),
+                  [json.loads(r.to_json()) for r in reports])
     failed = [c.name for r in reports for c in r.checks if not c.passed]
     if failed:
         print(f"{len(failed)} check(s) failed:", file=sys.stderr)

@@ -26,8 +26,8 @@ STOP_MAX_ITERS = "max_iters"
 class IterationTrace:
     """Iterates of one fixed-point run with per-step residuals.
 
-    ``dist_to_fix`` is filled only when a fixed-set description was
-    available.
+    ``dist_to_fix``, the distance of each iterate to a fixed-point set,
+    is filled by the caller that has a description of that set.
     """
 
     iterates: np.ndarray
@@ -64,7 +64,7 @@ def _block_run(orbit, x, tol, max_iters):
     k = 0
     while k < max_iters:
         rows, r = orbit(x, max_iters - k, tol)
-        if not np.isfinite(r).all() and not np.isfinite(rows).all():
+        if not np.isfinite(rows).all():
             raise NonFinite("iterate left the finite range")
         while k + len(rows) >= len(residuals):
             iterates, residuals = _doubled(iterates), _doubled(residuals)
@@ -77,7 +77,7 @@ def _block_run(orbit, x, tol, max_iters):
     return iterates[:k + 1], residuals[:k]
 
 
-def iterate(F, x0, residual_tol=1e-10, max_iters=200_000, fixset=None):
+def iterate(F, x0, residual_tol=1e-10, max_iters=200_000):
     """Apply ``x <- F(x)`` until the residual ``||F(x) - x||`` drops to
     ``residual_tol`` or ``max_iters`` steps have been taken.
 
@@ -100,15 +100,12 @@ def iterate(F, x0, residual_tol=1e-10, max_iters=200_000, fixset=None):
     orbit = getattr(F.evaluate, "orbit", None) or _one_step(F.evaluate)
     iterates, residuals = _block_run(orbit, x, residual_tol, max_iters)
     stopped = len(residuals) > 0 and residuals[-1] <= residual_tol
-    trace = IterationTrace(
+    return IterationTrace(
         iterates=iterates,
         residuals=residuals,
         limit=iterates[-1].copy(),
         stop_reason=STOP_RESIDUAL if stopped else STOP_MAX_ITERS,
     )
-    if fixset is not None:
-        trace.dist_to_fix = fixset.distances(trace.iterates)
-    return trace
 
 
 @dataclass(frozen=True)

@@ -53,9 +53,6 @@ class FixedPointOperator:
     evaluate: callable
     provenance: Provenance
 
-    def __call__(self, x):
-        return self.evaluate(np.asarray(x, dtype=float))
-
 
 def compose_alpha(a1, a2):
     """Averaging parameter of the composition of an a1- and an
@@ -74,6 +71,8 @@ def _gd_alpha(lam, lmax):
     """Smallest alpha making the step x - lam*grad alpha-averaged: the
     gradient of an L-smooth convex function is (1/L)-cocoercive, so the
     step is averaged exactly when lam*L/2 < 1."""
+    if lam <= 0:
+        raise ValueError("lambda must be positive")
     if lmax <= 0.0:
         return 0.0  # translation: averaged for every alpha in (0, 1)
     if lam >= 2.0 / lmax:
@@ -84,8 +83,6 @@ def _gd_alpha(lam, lmax):
 def make_gd(f, lam):
     """Gradient-descent map ``x - lam * (Q x + c)`` for quadratic f."""
     Q, c = _gradient_data(f)
-    if lam <= 0:
-        raise ValueError("lambda must be positive")
     alpha = _gd_alpha(lam, lambda_max_psd(Q))
     prov = Provenance("gd", {"lambda": lam})
     return FixedPointOperator(
@@ -112,8 +109,6 @@ def make_proximal_gradient(f, g, lam):
     fixed points minimize f + g.  With the indicator of a polyhedron S as
     g it is projected gradient, ``proj_S(x - lam * grad f(x))``."""
     Q, c = _gradient_data(f)
-    if lam <= 0:
-        raise ValueError("lambda must be positive")
     if g.dimension != f.dimension:
         raise ValueError("f and g live in different spaces")
     alpha = compose_alpha(_gd_alpha(lam, lambda_max_psd(Q)), 0.5)
@@ -261,14 +256,16 @@ def make_dr(f, g, gamma, alpha):
 def make_pr(f, g, gamma):
     """Peaceman-Rachford map ``ref(g) o ref(f)``: the alpha = 1 limit of
     Douglas-Rachford.  Nonexpansive but not averaged, so no rate
-    certificate applies; its fixed points coincide with DR's."""
+    certificate applies; its fixed points coincide with DR's, and so
+    does its extraction, returned with it as by ``make_dr``."""
     prov = Provenance("pr", {"gamma": gamma})
-    return FixedPointOperator(
+    op = FixedPointOperator(
         dimension=f.dimension,
         alpha=1.0,
         evaluate=_dr_step(f, g, gamma, 1.0),
         provenance=prov,
     )
+    return op, op.evaluate.prox_f
 
 
 def make_admm_xy_split(f, g, rho):

@@ -189,25 +189,30 @@ def load(path):
                            seed=int(fields["seed"]) if "seed" in fields else None)
 
 
-def _planted_constraints(rng, n, m, x_star, normal_rows):
-    """Rows of A with the first ``len(normal_rows)`` indices active at
-    ``x_star`` and strictly slack elsewhere."""
-    A = np.vstack([normal_rows,
-                   rng.standard_normal((m - len(normal_rows), n))])
-    A /= np.linalg.norm(A, axis=1, keepdims=True)
-    b = A @ x_star
-    b[len(normal_rows):] += rng.uniform(0.5, 1.5, size=m - len(normal_rows))
-    return A, b
-
-
 def _active_block(rng, n, k):
     """k well-conditioned unit rows (full row rank)."""
     while True:
         B = rng.standard_normal((k, n))
         B /= np.linalg.norm(B, axis=1, keepdims=True)
-        if k == 0 or np.linalg.matrix_rank(B) == k and \
+        if np.linalg.matrix_rank(B) == k and \
                 np.linalg.svd(B, compute_uv=False)[-1] > 0.2:
             return B
+
+
+def _planted_kkt(rng, n, m, x_star, grad):
+    """``(c, A, b)`` making ``x_star`` a KKT point of an objective whose
+    gradient at ``x_star`` is ``grad + c``: the first k rows of A are
+    unit rows active at ``x_star`` (``_active_block``) with duals y drawn
+    from U(0.5, 1.5) and ``c = -grad - A_{J*}' y``; the other rows are
+    random unit rows, slack by U(0.5, 1.5)."""
+    k = int(rng.integers(1, min(n, m) + 1))
+    B = _active_block(rng, n, k)
+    y = rng.uniform(0.5, 1.5, size=k)
+    A = np.vstack([B, rng.standard_normal((m - k, n))])
+    A /= np.linalg.norm(A, axis=1, keepdims=True)
+    b = A @ x_star
+    b[k:] += rng.uniform(0.5, 1.5, size=m - k)
+    return -grad - B.T @ y, A, b
 
 
 def generate_lp(n, m, seed):
@@ -218,11 +223,7 @@ def generate_lp(n, m, seed):
         raise ValueError("need 1 <= n <= m <= 16")
     rng = np.random.default_rng(seed)
     x_star = rng.standard_normal(n)
-    k = int(rng.integers(1, n + 1))
-    B = _active_block(rng, n, k)
-    y = rng.uniform(0.5, 1.5, size=k)
-    c = -B.T @ y
-    A, b = _planted_constraints(rng, n, m, x_star, B)
+    c, A, b = _planted_kkt(rng, n, m, x_star, np.zeros(n))
     inst = ProblemInstance(kind="lp", c=c, X=Polyhedron(A, b),
                            name=f"lp-n{n}-m{m}-s{seed}", seed=seed)
     return inst, GeneratedTruth(x_star)
@@ -250,11 +251,7 @@ def generate_qp(n, m, rank_q, seed, kappa_plus=4.0):
         inst = ProblemInstance(kind="qp", c=c, Q=Q, X=whole_space(n),
                                name=f"qp-n{n}-m0-r{rank_q}-s{seed}", seed=seed)
         return inst, GeneratedTruth(x_star)
-    k = int(rng.integers(1, min(n, m) + 1))
-    B = _active_block(rng, n, k)
-    y = rng.uniform(0.5, 1.5, size=k)
-    c = -Q @ x_star - B.T @ y
-    A, b = _planted_constraints(rng, n, m, x_star, B)
+    c, A, b = _planted_kkt(rng, n, m, x_star, Q @ x_star)
     inst = ProblemInstance(kind="qp", c=c, Q=Q, X=Polyhedron(A, b),
                            name=f"qp-n{n}-m{m}-r{rank_q}-s{seed}", seed=seed)
     return inst, GeneratedTruth(x_star)
@@ -335,8 +332,7 @@ def operator_for(instance, algorithm, gamma=1.0, alpha=0.5, lam=0.1, rho=1.0):
     if algorithm == "dr":
         return make_dr(f, g, gamma, alpha)
     if algorithm == "pr":
-        op = make_pr(f, g, gamma)
-        return op, op.evaluate.prox_f
+        return make_pr(f, g, gamma)
     if algorithm == "admm":
         return make_admm_xy_split(f, g, rho)
     if algorithm == "gd":

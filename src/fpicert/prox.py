@@ -46,9 +46,6 @@ class PLQFunctionSpec:
     dimension: int
     data: dict = field(default_factory=dict)
 
-    def __call__(self, x):
-        return function_value(self, x)
-
 
 def quadratic(Q, c):
     """``f(x) = 0.5 x'Qx + c'x`` with symmetric PSD ``Q`` (Q = 0 allowed)."""
@@ -92,22 +89,6 @@ def box_indicator(lo, hi):
     if np.any(lo > hi):
         raise ValueError("box is empty: lo > hi somewhere")
     return PLQFunctionSpec(BOX_INDICATOR, lo.shape[0], {"lo": lo, "hi": hi})
-
-
-def function_value(f, x):
-    """Evaluate ``f`` at ``x`` (``inf`` outside an indicator's set)."""
-    x = np.asarray(x, dtype=float)
-    if f.kind == QUADRATIC:
-        return 0.5 * x @ f.data["Q"] @ x + f.data["c"] @ x
-    if f.kind == POLYHEDRAL_INDICATOR:
-        return 0.0 if f.data["poly"].contains(x) else np.inf
-    if f.kind == L1:
-        return f.data["weight"] * float(np.abs(x).sum())
-    if f.kind == BOX_INDICATOR:
-        lo, hi = f.data["lo"], f.data["hi"]
-        inside = np.all(x >= lo - 1e-12) and np.all(x <= hi + 1e-12)
-        return 0.0 if inside else np.inf
-    raise ValueError(f"unknown kind {f.kind!r}")
 
 
 @dataclass(frozen=True)

@@ -5,8 +5,8 @@ programs.
 
 All certified rates are local statements: they hold once the iterate is
 within some radius of the fixed-point set, and that radius depends on
-problem data in a way the closed forms do not capture.  Every
-certificate carries that caveat as text.
+problem data in a way the closed forms do not capture.  Every report
+of a certificate states that caveat, ``VALID_RADIUS_NOTE``.
 """
 
 from dataclasses import dataclass, field, replace
@@ -38,7 +38,6 @@ class RateCertificate:
     rho_dist_relaxed: float
     rho_seq: float
     rho_seq_relaxed: float
-    valid_radius_note: str = VALID_RADIUS_NOTE
     source: str = "rates_from_K"
     extras: dict = field(default_factory=dict)
 

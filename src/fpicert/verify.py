@@ -299,7 +299,8 @@ def verify_splitting(instance, gamma=None, alpha=0.5, seed=0,
     direction = np.random.default_rng(seed).standard_normal(instance.dim)
     direction /= np.linalg.norm(direction)
     trace = engine.iterate(op, fixset.representative + 30.0 * direction,
-                           residual_tol=1e-10, max_iters=MAX_ITERS, fixset=fixset)
+                           residual_tol=1e-10, max_iters=MAX_ITERS)
+    trace.dist_to_fix = fixset.distances(trace.iterates)
     er = engine.estimate_rates(op, fixset,
                                R=1e-3 * (1.0 + np.linalg.norm(trace.limit)),
                                samples=200, seed=seed)
@@ -345,7 +346,7 @@ def verify_splitting(instance, gamma=None, alpha=0.5, seed=0,
         certified={"K": K, "K_source": "error_bound_constant(pieces)",
                    "K_closed_form": cert.K, **certified_fields,
                    "certificate": cert.source,
-                   "valid_radius_note": cert.valid_radius_note},
+                   "valid_radius_note": rates.VALID_RADIUS_NOTE},
         measured=measured, checks=checks, runtime_seconds=time.time() - t0)
 
 

@@ -100,7 +100,8 @@ def _lp_case(seed, n, m):
     direction = rng.standard_normal(n)
     direction /= np.linalg.norm(direction)
     trace = engine.iterate(op, fixset.representative + 30 * direction,
-                           residual_tol=1e-10, fixset=fixset)
+                           residual_tol=1e-10)
+    trace.dist_to_fix = fixset.distances(trace.iterates)
     er = engine.estimate_rates(
         op, fixset, R=1e-3 * (1.0 + np.linalg.norm(trace.limit)),
         samples=200, seed=seed)
@@ -136,7 +137,8 @@ def _qp_case(seed, n, m, rank_q):
     direction = rng.standard_normal(n)
     direction /= np.linalg.norm(direction)
     trace = engine.iterate(op, fixset.representative + 20 * direction,
-                           residual_tol=1e-10, fixset=fixset)
+                           residual_tol=1e-10)
+    trace.dist_to_fix = fixset.distances(trace.iterates)
     fit, fit_mode = verify.terminal_contraction(trace)
     worst_piece = max(p.hoffman_bound for p in fixset.pieces)
     null_res = verify._null_inclusion_residual(inst, fixset)

@@ -76,6 +76,49 @@ def test_unbounded_orientation_has_no_fixed_points():
         fixed_point_set(pieces)
 
 
+def _box_lp_pieces():
+    """Pieces of the LP over the box [-1, 1]^3 (rows -e1, e1, e2, -e2,
+    e3, -e3) with ``c = -a_1 + a_2 / 2``.  The rank-2 pieces (0, 2),
+    (0, 3) and (1, 2) have a zero outside their region: on (1, 2) its
+    face multipliers are (gamma, -gamma/2)."""
+    A = np.array([[-1.0, 0, 0], [1, 0, 0], [0, 1, 0], [0, -1, 0], [0, 0, 1], [0, 0, -1]])
+    return enumerate_pieces_lp(Polyhedron(A, np.ones(6)), -A[1] + 0.5 * A[2], 1.0, 0.5)
+
+
+def test_fixed_point_set_skips_a_zero_set_that_misses_its_region(monkeypatch):
+    pieces = _box_lp_pieces()
+    piece = next(p for p in pieces if p.active == (1, 2))
+    assert piece.zero is not None and piece.rank == 2
+    assert np.allclose(piece.face.project(piece.zero)[1], [1.0, -0.5])
+    empty = []
+
+    def project(poly, u):
+        try:
+            return project_polyhedron(poly, u)
+        except Infeasible:
+            empty.append(poly)
+            raise
+
+    monkeypatch.setattr(analysis, "project_polyhedron", project)
+    fs = fixed_point_set(pieces)
+    assert len(empty) == 3   # the pieces (0, 2), (0, 3) and (1, 2)
+    assert [p.active for p in fs.pieces] == [(1, 3), (1, 3, 4), (1, 3, 5)]
+
+
+def test_fixed_point_set_rejects_a_projected_point_that_is_no_zero(monkeypatch):
+    pieces = _box_lp_pieces()
+    projected = []
+
+    def off_the_zero_set(poly, u):
+        projected.append(u)
+        return u + 1.0   # M (u + 1) - v = M 1 != 0 on these pieces
+
+    monkeypatch.setattr(analysis, "project_polyhedron", off_the_zero_set)
+    fs = fixed_point_set(pieces)
+    assert len(projected) == 3
+    assert [p.active for p in fs.pieces] == [(1, 3), (1, 3, 4), (1, 3, 5)]
+
+
 def test_enumeration_budget():
     rng = np.random.default_rng(0)
     A = rng.standard_normal((20, 2))

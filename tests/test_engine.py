@@ -223,6 +223,16 @@ def test_fit_zero_residual_means_finite_convergence():
     assert verify.terminal_contraction(tr) == (0.0, "tail-fit")
 
 
+def test_terminal_contraction_of_a_run_of_at_most_one_step():
+    # no tail to fit, no residual at roundoff, and no two residuals to
+    # take a ratio of
+    for residuals in ([0.25], []):
+        tr = engine.IterationTrace(
+            iterates=np.zeros((len(residuals) + 1, 1)), residuals=np.array(residuals),
+            limit=np.zeros(1), stop_reason=engine.STOP_RESIDUAL)
+        assert verify.terminal_contraction(tr) == (0.0, "immediate-convergence")
+
+
 def test_terminal_contraction_counts_a_roundoff_residual_as_finite_convergence():
     # three steps ending at roundoff, at exactly 0.0, or at a residual well
     # above the floor 1e-13 * (1 + ||limit||) = 4e-13

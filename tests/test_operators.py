@@ -29,6 +29,28 @@ def test_gd_step_too_large():
         make_gd(quadratic(np.diag([4.0]), np.zeros(1)), 0.5)  # 2/lmax = 0.5
 
 
+def test_operator_factories_reject_invalid_parameters():
+    f = quadratic(np.eye(2), np.zeros(2))
+    flat = quadratic(np.zeros((2, 2)), np.ones(2))  # lambda_max = 0
+    g = l1(0.5, 2)
+    for lam in (0.0, -0.1):
+        for make in (lambda: make_gd(f, lam), lambda: make_gd(flat, lam),
+                     lambda: make_proximal_gradient(f, g, lam),
+                     lambda: make_proximal_gradient(flat, g, lam)):
+            with pytest.raises(ValueError, match="lambda must be positive"):
+                make()
+    for alpha in (0.0, 1.0):
+        with pytest.raises(ValueError, match="alpha must lie in"):
+            make_dr(f, g, 1.0, alpha)
+    with pytest.raises(ValueError, match="different spaces"):
+        make_dr(f, l1(0.5, 3), 1.0, 0.5)
+    for rho in (0.0, -1.0):
+        with pytest.raises(ValueError, match="rho must be positive"):
+            make_admm_xy_split(f, g, rho)
+        with pytest.raises(ValueError, match="rho must be positive"):
+            run_admm_direct(f, g, rho)
+
+
 def test_gd_zero_curvature_flagged_nonaveraged():
     op = make_gd(quadratic(np.zeros((2, 2)), np.ones(2)), 0.3)
     assert op.alpha == 1.0
@@ -163,7 +185,7 @@ def test_pr_is_dr_with_unit_averaging():
     rng = np.random.default_rng(5)
     inst = _lp_bits(rng)
     f, g = problems.split_functions(inst)
-    pr = make_pr(f, g, 1.0)
+    pr, _ = make_pr(f, g, 1.0)
     assert pr.alpha == 1.0
     for _ in range(5):
         w = rng.standard_normal(3)
@@ -176,17 +198,18 @@ def test_pr_shares_dr_fixed_points():
     rng = np.random.default_rng(6)
     inst = _lp_bits(rng)
     f, g = problems.split_functions(inst)
-    dr, _ = make_dr(f, g, 1.0, 0.5)
-    pr = make_pr(f, g, 1.0)
+    dr, dr_extraction = make_dr(f, g, 1.0, 0.5)
+    pr, pr_extraction = make_pr(f, g, 1.0)
     tr = engine.iterate(dr, 5 * np.ones(3), residual_tol=1e-12)
     assert np.linalg.norm(pr.evaluate(tr.limit) - tr.limit) <= 1e-9
+    assert np.array_equal(pr_extraction(tr.limit), dr_extraction(tr.limit))
 
 
 def test_pr_nonexpansive_on_samples():
     rng = np.random.default_rng(7)
     inst = _lp_bits(rng)
     f, g = problems.split_functions(inst)
-    pr = make_pr(f, g, 0.7)
+    pr, _ = make_pr(f, g, 0.7)
     for _ in range(20):
         x, y = 2 * rng.standard_normal(3), 2 * rng.standard_normal(3)
         assert (np.linalg.norm(pr.evaluate(x) - pr.evaluate(y))

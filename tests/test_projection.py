@@ -4,10 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fpicert.errors import Infeasible
-from fpicert.polyhedra import (KKT_TOL, Polyhedron, Projector, affine_rows,
-                               face_feasible_point, find_feasible_point,
-                               intersect, is_empty, project_brute_force,
-                               project_polyhedron, whole_space)
+from fpicert.polyhedra import (KKT_TOL, Face, Polyhedron, Projector,
+                               affine_rows, face_feasible_point,
+                               find_feasible_point, intersect, is_empty,
+                               project_brute_force, project_polyhedron,
+                               whole_space)
 from fpicert.problems import generate_lp, generate_qp
 
 
@@ -247,3 +248,23 @@ def test_projector_falls_back_on_a_stale_face():
     assert (project.hits, project.misses, project.active) == (1, 5, (1,))
     with pytest.raises(ValueError):
         project(np.zeros(3))
+
+
+def test_projector_holds_no_face_when_its_gram_matrix_is_singular(monkeypatch):
+    # a face whose A_J A_J^T is numerically singular is not held: the
+    # projector keeps the whole space as its face, and every later call
+    # goes through the cold loop
+    X = Polyhedron(np.vstack([np.eye(2), -np.eye(2)]), np.ones(4))
+    face_of = Face.of.__func__
+
+    def singular(cls, poly, active):
+        if active:
+            raise np.linalg.LinAlgError("Singular matrix")
+        return face_of(cls, poly, active)
+
+    monkeypatch.setattr(Face, "of", classmethod(singular))
+    project = Projector(X)
+    for _ in range(2):
+        assert np.allclose(project(np.array([2.0, 0.5])), [1.0, 0.5])
+        assert project.active == () and project.face.active == ()
+    assert (project.hits, project.misses) == (0, 2)

@@ -50,7 +50,7 @@ def test_prox_quadratic_matches_numeric_minimizer():
         Q, c = f.data["Q"], f.data["c"]
 
         def objective(u):
-            return gamma * fn.function_value(f, u) + 0.5 * np.sum((u - x) ** 2)
+            return gamma * (0.5 * u @ Q @ u + c @ u) + 0.5 * np.sum((u - x) ** 2)
 
         def grad(u):
             return gamma * (Q @ u + c) + (u - x)

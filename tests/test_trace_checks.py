@@ -26,7 +26,8 @@ def _record(n, m, rank_q, seed, max_iters):
     direction = np.random.default_rng(seed).standard_normal(n)
     direction /= np.linalg.norm(direction)
     trace = engine.iterate(op, fixset.representative + 30.0 * direction,
-                           residual_tol=1e-10, max_iters=max_iters, fixset=fixset)
+                           residual_tol=1e-10, max_iters=max_iters)
+    trace.dist_to_fix = fixset.distances(trace.iterates)
     return trace, fixset, analysis.error_bound_constant(pieces, fixset)
 
 
