@@ -10,8 +10,11 @@ The residual map ``x - F(x)`` of the Douglas-Rachford operator on
 
 indexed by the active sets J with independent rows and nonempty face.
 One enumeration body walks those faces (desk scale: the row count is
-capped), holds each as a ``polyhedra.Face`` and takes its piece from
-``operators.dr_piece``, the formula the iterated DR step also uses;
+capped) and builds their pieces in stacks of faces of one size: the
+face arrays from ``polyhedra.Face.stack``, the piece from
+``operators.dr_piece``, one ``spectral_summary`` per stack.  The
+iterated DR step takes its face from ``Face.of`` and its map from
+``dr_piece``, both on a stack of one, so its bits are the pieces'.
 ``enumerate_pieces_lp`` and ``enumerate_pieces_qp`` only supply the
 affine prox ``prox_g(x) = W x - h`` of their objective.  The remaining
 functions consume the pieces.
@@ -19,7 +22,7 @@ functions consume the pieces.
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
+from itertools import combinations, groupby
 
 import numpy as np
 
@@ -43,7 +46,8 @@ REGION_TOL = 1e-9
 #: Rows times zero sets per batch in ``FixedPointSetDescription.distances``.
 DISTANCE_CHUNK = 4096
 
-#: Row sets per stacked solve in ``_basic_points``.
+#: Row sets per stacked solve: the bases of ``_basic_points`` and the
+#: faces of one size in ``_enumerate_pieces``.
 BASIS_CHUNK = 2048
 
 
@@ -58,10 +62,13 @@ class ActiveSetPiece:
     projection, which is what ``contains`` evaluates.  ``hoffman_bound``
     is ``1 / sigma_min_plus(M)``, an upper bound on the Hoffman constant
     of the map relative to its region, and 0.0 for the zero map (whose
-    region consists entirely of zeros whenever it is used).  ``rank`` and
-    ``zero`` come from the same ``spectral_summary(M)``: the least-norm
+    region consists entirely of zeros whenever it is used).
+    ``sigma_min_plus``, ``rank`` and ``zero`` come from the SVD of ``M``
+    in its stack's ``spectral_summary``: ``zero`` is the least-norm
     solution of ``M x = v``, or ``None`` when its residual exceeds
-    ``ZERO_CERT_TOL * (1 + ||v||)`` (the system has no solution).
+    ``ZERO_CERT_TOL * (1 + ||v||)`` (the system has no solution), and
+    ``zero_in_region`` is ``contains(zero, ZERO_CERT_TOL)`` (False
+    without a zero).  The arrays are views into their stack's.
     """
 
     face: Face
@@ -71,6 +78,7 @@ class ActiveSetPiece:
     sigma_min_plus: float
     rank: int
     zero: np.ndarray | None
+    zero_in_region: bool
     source: Polyhedron
 
     @property
@@ -100,14 +108,23 @@ class ActiveSetPiece:
         return self.M @ x - self.v
 
     def contains(self, x, tol=REGION_TOL):
-        """Region membership of one point or of each row of a 2-D ``x``:
-        face multipliers ``>= -tol * scale`` and the face projection in
-        ``source`` within the same slack, ``scale = 1 + ||x||``."""
-        x = np.asarray(x, dtype=float)
-        slack = tol * (1.0 + np.sqrt(np.square(x).sum(axis=-1)))
-        points, mult = self.face.project(x)
-        return (self.source.contains(points, slack)
-                & (mult.min(axis=-1, initial=np.inf) >= -slack))
+        """Region membership of one point or of each row of a 2-D ``x``
+        (``_in_region``)."""
+        face = self.face
+        return _in_region(self.source, face.A, face.mult, face.mult_rhs,
+                          np.asarray(x, dtype=float), tol)
+
+
+def _in_region(X, A, mult, mult_rhs, x, tol):
+    """Region membership of points ``x`` on faces of ``X`` held as the
+    ``Face`` arrays ``A``, ``mult``, ``mult_rhs``: the face multipliers
+    ``>= -tol * scale`` and the face projection in ``X`` within the same
+    slack, ``scale = 1 + ||x||``.  One face takes one point or one per
+    row of ``x``; a stack of faces takes one point per face."""
+    slack = tol * (1.0 + np.sqrt(np.square(x).sum(axis=-1)))
+    lam = (mult @ x[..., None])[..., 0] - mult_rhs
+    points = x - (np.swapaxes(A, -1, -2) @ lam[..., None])[..., 0]
+    return X.contains(points, slack) & (lam.min(axis=-1, initial=np.inf) >= -slack)
 
 
 def _basic_points(X, scale):
@@ -221,21 +238,40 @@ def _enumerate_faces(X):
 
 def _enumerate_pieces(X, W, h, alpha):
     """One piece per face of X: the DR residual map ``dr_piece`` gives
-    on that face, with ``prox_g(x) = W x - h``."""
+    on that face, with ``prox_g(x) = W x - h``, built by ``_piece_stack``
+    on the faces of each size in stacks of at most ``BASIS_CHUNK``."""
     pieces = []
-    for J in _enumerate_faces(X):
-        face = Face.of(X, J)
-        M, v = dr_piece(W, h, alpha, face)
-        svd = spectral_summary(M)
-        sigma, x0 = svd.sigma_min_plus, svd.least_norm_solution(v)
-        solvable = np.linalg.norm(M @ x0 - v) <= ZERO_CERT_TOL * (1.0 + np.linalg.norm(v))
-        pieces.append(ActiveSetPiece(
-            face=face, M=M, v=v,
-            hoffman_bound=0.0 if sigma == 0.0 else 1.0 / sigma,
-            sigma_min_plus=sigma, rank=svd.rank, zero=x0 if solvable else None,
-            source=X,
-        ))
+    for k, level in groupby(_enumerate_faces(X), len):
+        level = list(level)
+        sets = np.array(level, dtype=np.intp).reshape(len(level), k)
+        for start in range(0, len(sets), BASIS_CHUNK):
+            pieces += _piece_stack(X, W, h, alpha, sets[start:start + BASIS_CHUNK])
     return pieces
+
+
+def _piece_stack(X, W, h, alpha, sets):
+    """The pieces of the faces with the active sets in the rows of
+    ``sets``: one ``Face.stack``, one ``dr_piece`` and one
+    ``spectral_summary`` for all of them.  The faces' projectors ``D``
+    and the SVD's ``U``, which serves the least-norm zeros only, go with
+    the stack."""
+    A, mult, mult_rhs, offset = faces = Face.stack(X, sets)
+    M, v = dr_piece(W, h, alpha, Face.projectors(A, mult), offset)
+    svd = spectral_summary(M)
+    sigma = svd.sigma_min_plus
+    zero = svd.least_norm_solution(v)
+    residual = (M @ zero[..., None])[..., 0] - v
+    solvable = (np.linalg.norm(residual, axis=1)
+                <= ZERO_CERT_TOL * (1.0 + np.linalg.norm(v, axis=1)))
+    inside = solvable & _in_region(X, A, mult, mult_rhs, zero, ZERO_CERT_TOL)
+    hoffman = np.divide(1.0, sigma, out=np.zeros_like(sigma), where=sigma != 0.0)
+    return [ActiveSetPiece(face=Face(J, *arrays), M=Mi, v=vi, hoffman_bound=bound,
+                           sigma_min_plus=s, rank=r, zero=x0 if ok else None,
+                           zero_in_region=ins, source=X)
+            for J, *arrays, Mi, vi, bound, s, r, x0, ok, ins in zip(
+                map(tuple, sets.tolist()), *faces, M, v, hoffman.tolist(),
+                sigma.tolist(), svd.rank.tolist(), zero, solvable.tolist(),
+                inside.tolist())]
 
 
 def enumerate_pieces_lp(X, c, gamma, alpha):
@@ -352,10 +388,9 @@ def fixed_point_set(pieces):
     """
     certified = []
     for piece in pieces:
-        x0 = piece.zero
+        x0, inside = piece.zero, piece.zero_in_region
         if x0 is None:
             continue  # M x = v has no solution at all
-        inside = piece.contains(x0, ZERO_CERT_TOL)
         if not inside and piece.rank == piece.dim:
             continue  # the zero set is the single point x0, outside the region
         svd = spectral_summary(piece.M)

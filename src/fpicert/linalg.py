@@ -18,13 +18,20 @@ DEFAULT_RANK_TOL = 1e-10
 PSD_TOL = 1e-9
 
 
-def as_matrix(A):
-    """Return ``A`` as a finite 2-d float array, validating the entries."""
+def as_matrices(A):
+    """Return ``A`` as a finite float array of one matrix or a stack of
+    them (``ndim >= 2``), validating the entries."""
     A = np.atleast_2d(np.asarray(A, dtype=float))
-    if A.ndim != 2:
-        raise ValueError(f"expected a matrix, got ndim={A.ndim}")
     if not np.all(np.isfinite(A)):
         raise ValueError("matrix has non-finite entries")
+    return A
+
+
+def as_matrix(A):
+    """Return ``A`` as a finite 2-d float array, validating the entries."""
+    A = as_matrices(A)
+    if A.ndim != 2:
+        raise ValueError(f"expected a matrix, got ndim={A.ndim}")
     return A
 
 
@@ -42,41 +49,53 @@ def pseudo_inverse(A):
 class SpectralSummary:
     """The SVD ``A = U diag(singular_values) Vt`` of a matrix with its
     numerical rank, the count of singular values above ``tol * sigma_max``;
-    ``sigma_min_plus`` is the smallest of them (0.0 for the zero matrix)."""
+    ``sigma_min_plus`` is the smallest of them (0.0 for the zero matrix).
+    For a stack of matrices every field is stacked along the leading
+    axes, ``rank`` and ``sigma_min_plus`` as arrays."""
 
     singular_values: np.ndarray
-    rank: int
-    sigma_min_plus: float
+    rank: int | np.ndarray
+    sigma_min_plus: float | np.ndarray
     U: np.ndarray
     Vt: np.ndarray
 
     @property
     def row_basis(self):
-        """Orthonormal rows spanning the row space."""
+        """Orthonormal rows spanning the row space (one matrix)."""
         return self.Vt[:self.rank]
 
     @property
     def null_basis(self):
-        """Orthonormal columns spanning the null space."""
+        """Orthonormal columns spanning the null space (one matrix)."""
         return self.Vt[self.rank:].T
 
     def least_norm_solution(self, b):
-        """Least-norm solution of ``A x = b`` on the values above the cutoff."""
-        r = self.rank
-        return self.Vt[:r].T @ ((self.U[:, :r].T @ b) / self.singular_values[:r])
+        """Least-norm solution of ``A x = b`` on the values above the
+        cutoff; for a stack, one solution per slice and its row of ``b``."""
+        s = self.singular_values
+        k = s.shape[-1]
+        kept = np.arange(k) < np.expand_dims(self.rank, -1)
+        Ub = (np.swapaxes(self.U[..., :k], -1, -2) @ b[..., None])[..., 0]
+        coef = np.divide(Ub, s, out=np.zeros_like(s), where=kept)
+        return (np.swapaxes(self.Vt[..., :k, :], -1, -2) @ coef[..., None])[..., 0]
 
 
 def spectral_summary(A):
     """Singular values (nonincreasing), numerical rank, smallest positive
-    singular value and SVD factors of ``A``: the one rank rule.
+    singular value and SVD factors of ``A``, a matrix or a stack of them
+    (shape ``(..., m, n)``, ranked slice by slice): the one rank rule.
 
     Rank counts values above ``DEFAULT_RANK_TOL * sigma_max``, which makes
     the cutoff invariant under rescaling of ``A``.
     """
-    A = as_matrix(A)
+    A = as_matrices(A)
     U, svals, Vt = np.linalg.svd(A)
-    rank = int(np.count_nonzero(svals > DEFAULT_RANK_TOL * svals.max(initial=0.0)))
-    sigma_min_plus = float(svals[rank - 1]) if rank > 0 else 0.0
+    kept = svals > DEFAULT_RANK_TOL * svals.max(axis=-1, initial=0.0, keepdims=True)
+    rank = np.count_nonzero(kept, axis=-1)
+    least = np.where(kept, svals, np.inf).min(axis=-1, initial=np.inf)
+    sigma_min_plus = np.where(rank > 0, least, 0.0)
+    if A.ndim == 2:
+        rank, sigma_min_plus = int(rank), float(sigma_min_plus)
     return SpectralSummary(svals, rank, sigma_min_plus, U, Vt)
 
 

@@ -14,8 +14,9 @@ and PR, ``w -> prox_f(rho w)`` for ADMM.
 
 ``dr_piece`` is the one formula for the Douglas-Rachford map on a face
 of a polyhedral f with an affine prox of g: the analysis layer's pieces
-and the block step ``AffineDRStep`` both take it from there, so a
-certified constant is a number about the map that is iterated.
+(in stacks of faces) and the block step ``AffineDRStep`` (on a stack of
+one) both take it from there, so a certified constant is a number about
+the map that is iterated, to the last bit.
 """
 
 import math
@@ -145,20 +146,22 @@ class DRStep:
         return w + self.two_alpha * (q - p)
 
 
-def dr_piece(W, h, alpha, face):
+def dr_piece(W, h, alpha, D, offset):
     """``(M, v)`` with ``w - F(w) = M w - v`` for the Douglas-Rachford
     step ``F`` of a polyhedral f and ``prox_g(x) = W x - h``, on points
-    whose projection lands on ``face`` (a ``polyhedra.Face``, projection
-    ``(I - D) w + offset``):
+    whose projection lands on a face with projection ``(I - D) w +
+    offset`` (``polyhedra.Face``), for a stack of faces: ``D`` of shape
+    ``(N, n, n)`` and ``offset`` of shape ``(N, n)`` give N pieces,
 
         M = 2a (I - W + (2W - I) D),    v = 2a ((2W - I) offset - h),
 
-    which is ``M = 2a D`` at ``W = I`` (a linear g).
+    which is ``M = 2a D`` at ``W = I`` (a linear g).  Each slice is one
+    product of its own, so a stack of one gives the bits of a longer one.
     """
     eye = np.eye(len(W))
     V = 2.0 * W - eye
-    return (2.0 * alpha * (eye - W + V @ face.D),
-            2.0 * alpha * (V @ face.offset - h))
+    return (2.0 * alpha * (eye - W + V @ D),
+            2.0 * alpha * ((V @ offset[..., None])[..., 0] - h))
 
 
 class AffineDRStep(DRStep):
@@ -178,11 +181,12 @@ class AffineDRStep(DRStep):
 
     def _hold(self, project):
         """Cache ``[[I - M, v], [0, 1]]`` of the projector's face."""
-        M, v = dr_piece(*self.prox_g.affine, self._alpha, project.face)
-        n = len(v)
+        face = project.face
+        M, v = dr_piece(*self.prox_g.affine, self._alpha, face.D[None], face.offset[None])
+        n = v.shape[1]
         Tt = np.zeros((n + 1, n + 1))
-        Tt[:n, :n] = np.eye(n) - M
-        Tt[:n, n] = v
+        Tt[:n, :n] = np.eye(n) - M[0]
+        Tt[:n, n] = v[0]
         Tt[n, n] = 1.0
         self._Tt = Tt
         self._face = project.active

@@ -29,8 +29,10 @@ Two projection routes are provided and kept deliberately independent:
   it is the oracle the tests hold the active-set route to.
 
 A :class:`Face` is the one place a face's Gram inverse, multipliers and
-affine projection are formed; the piece enumeration of the analysis
-layer and the :class:`Projector` both hold faces.  A ``Projector`` tries
+affine projection are formed: ``Face.stack`` forms them for a stack of
+faces, and ``Face.of`` is that kernel on a stack of one.  The piece
+enumeration of the analysis layer builds its faces in stacks and the
+:class:`Projector` holds one face at a time.  A ``Projector`` tries
 the face of the last certified active set first and accepts the result
 only if it is feasible within the cold loop's slack and its multipliers
 are nonnegative, falling back to the cold loop otherwise; it also tests
@@ -173,20 +175,39 @@ class Face:
     mult_rhs: np.ndarray
     offset: np.ndarray
 
+    @staticmethod
+    def stack(poly, sets):
+        """``(A, mult, mult_rhs, offset)`` of the faces of ``poly`` with the
+        active sets in the rows of ``sets`` (integers, shape ``(N, k)``),
+        each stacked along a first axis of length N: one Gram ``inv`` and
+        one product per array.  Raises ``LinAlgError`` when some ``A_J
+        A_J^T`` is singular."""
+        AJ, bJ = poly.A[sets], poly.b[sets]
+        AJT = AJ.transpose(0, 2, 1)
+        gram_inv = np.linalg.inv(AJ @ AJT)
+        mult_rhs = gram_inv @ bJ[..., None]
+        return AJ, gram_inv @ AJ, mult_rhs[..., 0], (AJT @ mult_rhs)[..., 0]
+
+    @staticmethod
+    def projectors(A, mult):
+        """``A_J^T G A_J`` of each face of a stack, from its stacked ``A``
+        and ``mult``: the orthogonal projector onto the row space of A_J."""
+        return A.transpose(0, 2, 1) @ mult
+
     @classmethod
     def of(cls, poly, active):
-        """The face of ``poly`` with active set ``active``; raises
-        ``LinAlgError`` when ``A_J A_J^T`` is singular."""
-        J = list(active)
-        AJ, bJ = poly.A[J], poly.b[J]
-        gram_inv = np.linalg.inv(AJ @ AJ.T)
-        mult_rhs = gram_inv @ bJ
-        return cls(tuple(J), AJ, gram_inv @ AJ, mult_rhs, AJ.T @ mult_rhs)
+        """The face of ``poly`` with active set ``active``: ``stack`` on a
+        stack of one, so it agrees with the same face of any stack to the
+        last bit.  Raises ``LinAlgError`` when ``A_J A_J^T`` is singular."""
+        J = tuple(active)
+        arrays = cls.stack(poly, np.array(J, dtype=np.intp).reshape(1, len(J)))
+        return cls(J, *(a[0] for a in arrays))
 
     @property
     def D(self):
-        """``A_J^T G A_J``, the orthogonal projector onto the row space of A_J."""
-        return self.A.T @ self.mult
+        """``A_J^T G A_J``, the orthogonal projector onto the row space of
+        A_J: ``projectors`` on a stack of one."""
+        return self.projectors(self.A[None], self.mult[None])[0]
 
     def project(self, U):
         """``(points, multipliers)``: the projection onto the face's affine

@@ -12,8 +12,9 @@ from fpicert.analysis import (enumerate_pieces_lp, enumerate_pieces_qp,
 from fpicert.errors import EmptyFixedSet, Infeasible, NoFixedPoints, TooLarge
 from fpicert.linalg import (condition_number_plus, lambda_max_psd,
                             spectral_summary)
-from fpicert.operators import make_dr
-from fpicert.polyhedra import (KKT_TOL, Polyhedron, affine_rows,
+from fpicert.prox import linear, prox_map, quadratic
+from fpicert.operators import dr_piece, make_dr
+from fpicert.polyhedra import (KKT_TOL, Face, Polyhedron, affine_rows,
                                face_feasible_point, find_feasible_point,
                                intersect, project_brute_force,
                                project_polyhedron, whole_space)
@@ -197,6 +198,59 @@ def test_piece_rank_and_zero_match_lstsq_on_acceptance_problems():
             assert (piece.zero is not None) == solvable, (inst.name, piece.active)
             if solvable:
                 assert np.linalg.norm(piece.zero - x0) <= 1e-9 * (1.0 + np.linalg.norm(x0))
+
+
+def _pieces_one_face_at_a_time(X, W, h, alpha):
+    """Reference piece build: for each face in turn, ``Face.of``,
+    ``dr_piece`` on a stack of one and ``spectral_summary`` of the one
+    matrix, with the zero's region flag from ``contains``."""
+    pieces = []
+    for J in analysis._enumerate_faces(X):
+        face = Face.of(X, J)
+        M, v = dr_piece(W, h, alpha, face.D[None], face.offset[None])
+        M, v = M[0], v[0]
+        svd = spectral_summary(M)
+        x0 = svd.least_norm_solution(v)
+        scale = 1.0 + np.linalg.norm(v)
+        solvable = np.linalg.norm(M @ x0 - v) <= analysis.ZERO_CERT_TOL * scale
+        pieces.append((face, M, v, svd.rank, svd.sigma_min_plus, x0 if solvable else None))
+    return pieces
+
+
+def _affine_prox(inst):
+    """``(X, W, h, alpha)`` of the operator of ``_dr_pieces``."""
+    if inst.kind == "lp":
+        return inst.X, *prox_map(linear(inst.c), 1.0).affine, 0.5
+    gamma = 0.5 / lambda_max_psd(inst.Q)
+    return inst.X, *prox_map(quadratic(inst.Q, inst.c), gamma).affine, 0.5
+
+
+def test_stacked_pieces_match_the_per_face_build(monkeypatch):
+    # the acceptance problems and an LP and a QP of the enum-wide workload
+    # (m = 16); no size of these has 2048 faces, so stacks of 100 make the
+    # wide ones split most sizes into several stacks
+    monkeypatch.setattr(analysis, "BASIS_CHUNK", 100)
+    wide = [problems.generate_lp(6, 16, 1)[0], problems.generate_qp(6, 16, 4, 1)[0]]
+    for inst in _acceptance_instances() + wide:
+        X, W, h, alpha = _affine_prox(inst)
+        pieces = analysis._enumerate_pieces(X, W, h, alpha)
+        reference = _pieces_one_face_at_a_time(X, W, h, alpha)
+        assert len(pieces) == len(reference)
+        for piece, (face, M, v, rank, sigma, x0) in zip(pieces, reference):
+            where = (inst.name, piece.active)
+            assert piece.active == face.active, where
+            for name in ("A", "mult", "mult_rhs", "offset", "D"):
+                assert np.array_equal(getattr(piece.face, name), getattr(face, name)), where
+            assert np.array_equal(piece.M, M) and np.array_equal(piece.v, v), where
+            assert (piece.rank, piece.sigma_min_plus) == (rank, sigma), where
+            assert piece.hoffman_bound == (0.0 if sigma == 0.0 else 1.0 / sigma), where
+            assert (piece.zero is None) == (x0 is None), where
+            if x0 is None:
+                assert not piece.zero_in_region, where
+                continue
+            assert np.linalg.norm(piece.zero - x0) <= 1e-12 * (1.0 + np.linalg.norm(x0)), where
+            inside = piece.contains(piece.zero, analysis.ZERO_CERT_TOL)
+            assert piece.zero_in_region == inside, where
 
 
 def test_faces_match_the_per_face_loop_on_acceptance_problems():

@@ -97,6 +97,37 @@ def test_spectral_summary_scaled_projector():
     assert s.sigma_min_plus == pytest.approx(1.0, abs=1e-12)
 
 
+def test_spectral_summary_of_a_stack_ranks_each_slice_as_one_matrix():
+    # slices of rank 0 to 4 at scales far apart, so one slice's cutoff
+    # would misrank another's; and the least-norm solutions per slice
+    rng = np.random.default_rng(13)
+    stack = np.stack([scale * rng.standard_normal((5, r)) @ rng.standard_normal((r, 4))
+                      for r in range(5) for scale in (1e-6, 1.0, 1e6)])
+    b = rng.standard_normal((len(stack), 5))
+    s = spectral_summary(stack)
+    assert s.rank.tolist() == [r for r in range(5) for _ in range(3)]
+    for i, A in enumerate(stack):
+        one = spectral_summary(A)
+        assert (s.rank[i], s.sigma_min_plus[i]) == (one.rank, one.sigma_min_plus)
+        x = s.least_norm_solution(b)[i]
+        assert np.allclose(x, one.least_norm_solution(b[i]), rtol=0,
+                           atol=1e-12 * (1.0 + np.linalg.norm(x)))
+
+
+def test_spectral_summary_of_a_stack_with_a_zero_slice():
+    s = spectral_summary(np.stack([np.zeros((3, 3)), np.eye(3)]))
+    assert s.rank.tolist() == [0, 3]
+    assert s.sigma_min_plus.tolist() == [0.0, 1.0]
+    assert np.array_equal(s.least_norm_solution(np.ones((2, 3))), [[0.0] * 3, [1.0] * 3])
+
+
+def test_spectral_summary_rejects_a_non_finite_entry_of_a_stack():
+    stack = np.zeros((3, 2, 2))
+    stack[2, 1, 0] = np.nan
+    with pytest.raises(ValueError):
+        spectral_summary(stack)
+
+
 def test_condition_number_identity():
     assert condition_number_plus(np.eye(4)) == pytest.approx(1.0)
 
