@@ -30,8 +30,8 @@ from .errors import EmptyFixedSet, Infeasible, NoFixedPoints, TooLarge
 from .linalg import spectral_summary
 from .operators import dr_piece
 from .polyhedra import (KKT_TOL, Face, Polyhedron, Projector, affine_rows,
-                        face_feasible_point, find_feasible_point, intersect,
-                        project_polyhedron)
+                        face_feasible_point, face_slack, find_feasible_point,
+                        intersect, project_polyhedron)
 from .prox import linear, prox_map, quadratic
 
 #: Hard cap on constraint rows for active-set enumeration.
@@ -127,9 +127,9 @@ def _in_region(X, A, mult, mult_rhs, x, tol):
     return X.contains(points, slack) & (lam.min(axis=-1, initial=np.inf) >= -slack)
 
 
-def _basic_points(X, scale):
+def _basic_points(X, slack):
     """The basic points ``pinv(A_J) b_J`` over the row sets J of size
-    ``rank(A)`` that lie in X within ``1e-9 * scale``, as rows.
+    ``rank(A)`` that lie in X within ``slack``, as rows.
 
     Each minimal face of X is ``{A_I x = b_I}`` with ``rank(A_I) =
     rank(A)``, so it holds the basic point of every independent
@@ -137,8 +137,8 @@ def _basic_points(X, scale):
     The sets are solved in stacks of ``BASIS_CHUNK`` through the Gram
     system ``A_J A_J^T y = b_J``, ``x = A_J^T y``; a singular system is
     skipped.  A point is kept only for being feasible, however it was
-    computed, so a skipped or inexact basis costs a feasibility LP later,
-    never a wrong face.
+    computed, so a skipped or inexact basis costs a call of
+    ``face_feasible_point`` later, never a wrong face.
     """
     m, n = X.num_rows, X.dim
     rank = int(np.linalg.matrix_rank(X.A)) if m else 0
@@ -153,8 +153,7 @@ def _basic_points(X, scale):
         solvable = np.linalg.det(gram) != 0.0
         y = np.linalg.solve(gram[solvable], bJ[solvable, :, None])
         P = (AJ[solvable].transpose(0, 2, 1) @ y)[..., 0]
-        feasible = (P @ X.A.T - X.b).max(axis=1) <= 1e-9 * scale
-        points.append(P[feasible])
+        points.append(P[X.contains(P, slack)])
     return np.concatenate(points)
 
 
@@ -162,13 +161,17 @@ def _enumerate_faces(X):
     """Active sets J with rank(A_J^T) = |J| and a nonempty face X_J, in
     order of size, then lexicographically.
 
-    A face is certified nonempty by a stored feasible point that hits it
-    (``|A_J x - b_J| <= 1e-9 * scale``).  The store starts with the basic
-    feasible points (``_basic_points``), which hit every nonempty face,
-    so HiGHS (``face_feasible_point``) runs for a face they miss, in
-    practice only to prove it empty; a point it does find joins the
-    store.  When no basic point is feasible (rank(A) = 0, or roundoff
-    kept every one out), the store is one point of HiGHS's
+    A face is certified nonempty by a stored point of X that hits it:
+    the point lies in X and ``|A_J x - b_J|`` is within
+    ``polyhedra.face_slack``.  The store starts with the basic feasible
+    points (``_basic_points``), which hit every nonempty face.  A face
+    they miss goes to ``face_feasible_point``: the active-set projection
+    loop proves it empty with a checked Farkas ray, or returns a point
+    that lies on it, and HiGHS decides only where the loop settles
+    nothing.  A point it returns settles its face; it joins the store,
+    and so hits other faces, only if it lies in X within the slack,
+    which a HiGHS point need not.  When no basic point is feasible
+    (rank(A) = 0, or roundoff kept every one out), the store starts from
     ``find_feasible_point``, which also decides that X is empty.
 
     The walk goes level by level: the candidates of size k are the sets
@@ -181,17 +184,18 @@ def _enumerate_faces(X):
     if m > MAX_ENUM_ROWS:
         raise TooLarge(f"{m} rows exceed the enumeration budget of "
                        f"{MAX_ENUM_ROWS}")
-    scale = 1.0 + float(np.abs(X.b).max(initial=0.0))
-    points = _basic_points(X, scale)
+    slack = face_slack(X)
+    points = _basic_points(X, slack)
     if not len(points):
-        points = find_feasible_point(X)
-        if points is None:
+        point = find_feasible_point(X)
+        if point is None:
             raise Infeasible("the constraint polyhedron is empty")
+        points = point[None] if X.contains(point, slack) else np.zeros((0, n))
     bits = 1 << np.arange(m)
     row_sets = np.arange(1 << m)
 
     def tight_masks(points):
-        return (np.abs(points @ X.A.T - X.b) <= 1e-9 * scale) @ bits
+        return (np.abs(points @ X.A.T - X.b) <= slack) @ bits
 
     # hit[S]: the row set S is tight at some stored point
     hit = np.zeros(1 << m, dtype=bool)
@@ -227,9 +231,9 @@ def _enumerate_faces(X):
                 continue
             w = face_feasible_point(X, tuple(cand[i].tolist()))
             if w is not None:
-                w_mask = tight_masks(w)
-                hit[(row_sets & w_mask) == row_sets] = True
                 nonempty[i] = True
+                if X.contains(w, slack):
+                    hit[(row_sets & tight_masks(w)) == row_sets] = True
         level = cand[nonempty]
         is_face[masks[nonempty]] = True
         faces.extend(map(tuple, level.tolist()))

@@ -14,7 +14,17 @@ class ZeroMatrix(FpicertError):
 
 
 class Infeasible(FpicertError):
-    """A polyhedron required to be nonempty is empty."""
+    """A polyhedron required to be nonempty is empty.
+
+    ``ray`` is the checked Farkas certificate ``y`` (``y >= 0``,
+    ``A^T y = 0``, ``b^T y < 0``) when the projection loop proved the
+    emptiness itself, and ``None`` when anything else decided it (HiGHS,
+    the brute-force projection or the face walk).
+    """
+
+    def __init__(self, message, ray=None):
+        self.ray = ray
+        super().__init__(message)
 
 
 class NoCertificate(FpicertError):

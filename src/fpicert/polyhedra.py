@@ -11,22 +11,35 @@ Two projection routes are provided and kept deliberately independent:
   keeps no warm-start state.  A working set W of independent rows is
   held at equality with multipliers ``lam >= 0`` at the point
   ``u - A_W^T lam``.  The most violated row p enters by dual steps: its
-  multiplier grows by t, ``lam`` moves by ``-t r`` with
-  ``r = inv(A_W A_W^T) A_W a_p`` and the point by ``-t z`` with
-  ``z = a_p - A_W^T r``.  A full step makes p tight and adds it; a step
-  cut short where a working multiplier reaches zero drops that row and
-  goes on with the same p, which is never dropped.  No feasible start
-  is needed; the point is recomputed from the final working set.  The
-  loop raises ``Infeasible`` or ``NoCertificate`` only: a p in the span
-  of A_W with no blocking row is a dual ray that proves the polyhedron
-  empty, and every other dead end (a singular working set, a step that
-  overflows or turns NaN, no termination) leaves by one exit, where
-  HiGHS settles emptiness.  Every caller in the package uses the loop.
+  multiplier grows by t, ``lam`` moves by ``-t r`` and the point by
+  ``-t z``, where ``a_p = A_W^T r + z`` splits a_p along the rows of
+  A_W and across them (from a QR factorization of ``A_W^T``, so that
+  near-parallel rows in W do not square its condition number).  A full
+  step makes p tight and adds it; a step cut short where a working
+  multiplier reaches zero drops that row and goes on with the same p,
+  which is never dropped.  No feasible start is needed; the point is
+  recomputed from the final working set.  The loop raises
+  ``Infeasible`` or ``NoCertificate`` only.  A p in the span of A_W
+  with no blocking row gives the dual ray ``y`` (``y_W = -r``,
+  ``y_p = 1``); it is checked as a Farkas certificate (``y >= 0``,
+  ``A^T y = 0``, ``b^T y < 0``, each to ``RAY_TOL``) and, when it
+  passes, proves the polyhedron empty and rides on the ``Infeasible``
+  as ``ray``.  A ray that fails the check and every other dead end (a
+  singular working set, a step that overflows or turns NaN, no
+  termination) leave by one exit, where HiGHS decides.  Every caller in
+  the package uses the loop.
 * ``project_brute_force`` enumerates index sets J with
   ``rank(A_J^T) = |J|``, projects onto each candidate affine subspace
   and keeps the candidate whose KKT certificate (primal feasibility +
   nonnegative multipliers) checks out.  Exponential in the row count;
   it is the oracle the tests hold the active-set route to.
+
+The loop is also the emptiness prover.  ``face_feasible_point`` decides
+a face ``{x in P : A_J x = b_J}`` by projecting the origin onto P with
+the rows J paired: a checked ray makes the face empty, and the loop's
+point is returned only if it lies in P and on the face within
+``face_slack``.  HiGHS (``_feasibility_lp``) is the fallback for
+everything else, and ``is_empty`` asks it directly.
 
 A :class:`Face` is the one place a face's Gram inverse, multipliers and
 affine projection are formed: ``Face.stack`` forms them for a stack of
@@ -44,6 +57,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
+from scipy.linalg import lapack
 from scipy.optimize import linprog
 
 from .errors import Infeasible, NoCertificate
@@ -54,6 +68,14 @@ KKT_TOL = 1e-8
 
 #: Certified candidates further apart than this indicate a tolerance failure.
 TIE_TOL = 1e-6
+
+#: Slack, times ``1 + max|b|``, within which a point lies in a polyhedron
+#: and on a face of it: ``face_feasible_point`` and the face walk.
+FACE_TOL = 1e-9
+
+#: A dual ray ``y`` proves ``{A x <= b}`` empty when ``y >= 0``,
+#: ``|A^T y| <= RAY_TOL |y| max|A|`` and ``b^T y < -RAY_TOL |y| (1 + max|b|)``.
+RAY_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -115,9 +137,10 @@ def affine_rows(E, e):
 
 def _feasibility_lp(poly, J):
     """A point of ``{x in poly : A_J x = b_J}`` by a phase-1 linear
-    program (HiGHS), or ``None`` when it is empty; this is the one place
-    feasibility is certified by an external solver rather than by our
-    own projection machinery."""
+    program (HiGHS), or ``None`` when it is empty.  It is the active-set
+    loop's fallback: the loop's one failure exit asks it through
+    ``is_empty``, and ``face_feasible_point`` asks it where the loop
+    neither proves the face empty nor finds a point on it."""
     if poly.num_rows == 0:
         return np.zeros(poly.dim)
     eq = {"A_eq": poly.A[J], "b_eq": poly.b[J]} if J else {}
@@ -130,18 +153,34 @@ def _feasibility_lp(poly, J):
     return np.asarray(res.x, dtype=float)
 
 
-def find_feasible_point(poly):
-    """A point of ``poly``, or ``None`` when the polyhedron is empty."""
-    return _feasibility_lp(poly, [])
+def face_slack(poly):
+    """``FACE_TOL * (1 + max|b|)``: the slack within which a point lies in
+    ``poly`` and on a face of it."""
+    return FACE_TOL * (1.0 + float(np.abs(poly.b).max(initial=0.0)))
 
 
 def face_feasible_point(poly, active):
-    """A point of the face ``{x in poly : A_J x = b_J}``, or ``None``."""
-    return _feasibility_lp(poly, list(active))
+    """A point of the face ``{x in poly : A_J x = b_J}``, or ``None`` when
+    it is empty (see the module docstring): a checked dual ray of the
+    loop, a loop point within ``face_slack``, or else HiGHS."""
+    J = list(active)
+    face = intersect(poly, affine_rows(poly.A[J], poly.b[J]))
+    try:
+        found = _dual_loop(face, np.zeros(poly.dim))
+    except Infeasible:
+        return None
+    if found is not None and face.contains(found[0], face_slack(poly)):
+        return found[0]
+    return _feasibility_lp(poly, J)
+
+
+def find_feasible_point(poly):
+    """A point of ``poly``, or ``None`` when the polyhedron is empty."""
+    return face_feasible_point(poly, ())
 
 
 def is_empty(poly):
-    return find_feasible_point(poly) is None
+    return _feasibility_lp(poly, []) is None
 
 
 def _as_point(poly, u):
@@ -335,6 +374,45 @@ def project_brute_force(poly, u):
 def _project_active_set(poly, u):
     """``(point, active)``: the projection of ``u`` by the dual method of
     Goldfarb and Idnani for a unit Hessian (see the module docstring)."""
+    found = _dual_loop(poly, u)
+    if found is not None:
+        return found
+    # the one failure exit (a dead end, a ray that fails its check or a
+    # rounding cycle): HiGHS decides
+    if is_empty(poly):
+        raise Infeasible("polyhedron is empty")
+    raise NoCertificate("active-set projection did not terminate")
+
+
+def _is_farkas_ray(poly, y):
+    """Whether ``y`` proves ``poly`` empty, each condition to ``RAY_TOL``:
+    ``y >= 0``, ``A^T y = 0`` and ``b^T y < 0``."""
+    norm = float(np.linalg.norm(y))
+    return bool(y.min() >= 0.0
+                and np.linalg.norm(y @ poly.A) <= RAY_TOL * norm * np.abs(poly.A).max()
+                and y @ poly.b < -RAY_TOL * norm * (1.0 + np.abs(poly.b).max()))
+
+
+def _split(AW, a):
+    """``(r, z)`` with ``a = A_W^T r + z`` and ``A_W z = 0``, for rows A_W
+    of full rank, from a Householder QR of ``A_W^T`` (LAPACK, called
+    directly: the wrappers cost more than the work).  The Gram system
+    ``A_W A_W^T r = A_W a`` would square the condition number of A_W, so
+    with near-parallel rows in W its z is roundoff, and so are the dual
+    steps and the rays they find.  Raises ``LinAlgError`` when R is
+    singular."""
+    qr, tau, _, _ = lapack.dgeqrf(AW.T)
+    Q, _, _ = lapack.dorgqr(qr, tau)
+    d = a @ Q
+    r, info = lapack.dtrtrs(qr, d)
+    if info:
+        raise np.linalg.LinAlgError("singular working set")
+    return r, a - Q @ d
+
+
+def _dual_loop(poly, u):
+    """The dual steps of ``_project_active_set``: ``(point, active)``,
+    ``Infeasible`` carrying a checked dual ray, or ``None`` at a dead end."""
     A, b = poly.A, poly.b
     slack = KKT_TOL * (1.0 + float(np.linalg.norm(u)) + float(np.abs(b).max(initial=0.0)))
     W, lam = [], np.zeros(0)
@@ -357,18 +435,17 @@ def _project_active_set(poly, u):
                 # a_p is dependent on A_W when |z| <= 1e-10 max(1, |a_p|)
                 dependent_zz = 1e-20 * max(1.0, a_p @ a_p)
                 while True:  # dual steps on row p: each one adds p or drops a row of W
-                    if W:
-                        AW = A[W]
-                        r = np.linalg.solve(AW @ AW.T, AW @ a_p)
-                        z = a_p - r @ AW
-                    else:
-                        r, z = np.zeros(0), a_p
+                    r, z = _split(A[W], a_p) if W else (np.zeros(0), a_p)
                     blocking = np.flatnonzero(r > 0.0)
                     steps = lam[blocking] / r[blocking]
                     partial = steps.min(initial=math.inf)
                     dependent = z @ z <= dependent_zz
                     if dependent and not blocking.size:
-                        raise Infeasible("dual ray found: the polyhedron is empty")
+                        y = np.zeros(len(b))
+                        y[W], y[p] = -r, 1.0
+                        if _is_farkas_ray(poly, y):
+                            raise Infeasible("checked dual ray: the polyhedron is empty", ray=y)
+                        return None
                     full = math.inf if dependent else (a_p @ x - b[p]) / (z @ z)
                     t = min(partial, full)
                     if not dependent:
@@ -383,7 +460,4 @@ def _project_active_set(poly, u):
                     lam = np.delete(lam, j)
     except (np.linalg.LinAlgError, FloatingPointError):
         pass  # a singular working set or an overflowing step: a dead end
-    # the one failure exit (a dead end or a rounding cycle): HiGHS decides
-    if is_empty(poly):
-        raise Infeasible("polyhedron is empty")
-    raise NoCertificate("active-set projection did not terminate")
+    return None

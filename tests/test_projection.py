@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fpicert import polyhedra
 from fpicert.errors import Infeasible
 from fpicert.polyhedra import (KKT_TOL, Face, Polyhedron, Projector,
                                affine_rows, face_feasible_point,
@@ -193,9 +194,11 @@ def test_near_parallel_rows_do_not_cycle():
 ], ids=["lp-n6-m16-s1000", "lp-n8-m16-s1001", "qp-n8-m16-r6-s1001",
         "qp-n6-m16-r4-s0"])
 def test_dead_ends_on_empty_faces_raise_infeasible(generate, args, J):
-    # faces of the face walk made empty by paired equality rows, where the
-    # dual steps overflow before they find a dual ray; with warnings as
-    # errors (pyproject.toml) an escaping overflow warning fails too
+    # faces of the face walk made empty by paired equality rows: their
+    # working sets are near-dependent, and dual steps solved through the
+    # Gram matrix of A_W overflow there before they find a dual ray; with
+    # warnings as errors (pyproject.toml) an escaping overflow warning
+    # fails too
     X = generate(*args)[0].X
     P = intersect(X, affine_rows(X.A[list(J)], X.b[list(J)]))
     assert is_empty(P)
@@ -203,6 +206,65 @@ def test_dead_ends_on_empty_faces_raise_infeasible(generate, args, J):
         project_polyhedron(P, np.zeros(X.dim))
     with pytest.raises(Infeasible):
         Projector(P)(np.zeros(X.dim))
+
+
+def _near_parallel_variant(seed):
+    """``generate_lp(4, 7, seed)``'s X with one more row, row 0 tilted by
+    ``1e-7 delta`` and passing ``1e-9`` above the planted optimum."""
+    inst, truth = generate_lp(4, 7, seed)
+    a = inst.X.A[0] + 1e-7 * np.random.default_rng(seed).standard_normal(4)
+    return Polyhedron(np.vstack([inst.X.A, a]),
+                      np.append(inst.X.b, a @ truth.known_optimum + 1e-9))
+
+
+def _face(X, J):
+    return intersect(X, affine_rows(X.A[list(J)], X.b[list(J)]))
+
+
+@pytest.mark.parametrize("X, J", [
+    (Polyhedron(np.array([[1.0, 0.0], [-1.0, 0.0]]), np.array([-1.0, -1.0])), ()),
+    (_near_parallel_variant(28), (2, 7)),
+], ids=["contradicting-rows", "near-parallel-s28-face-2-7"])
+def test_empty_face_raises_with_a_checked_ray(X, J):
+    # on the variant, near-parallel rows 0 and 7 enter the working set
+    # together; the ray is still a Farkas certificate to 1e-9
+    P = _face(X, J)
+    with pytest.raises(Infeasible) as raised:
+        project_polyhedron(P, np.zeros(X.dim))
+    y = raised.value.ray
+    norm = np.linalg.norm(y)
+    assert y.min() >= 0.0
+    assert np.linalg.norm(y @ P.A) <= 1e-9 * norm * np.abs(P.A).max()
+    assert y @ P.b < -1e-9 * norm * (1.0 + np.abs(P.b).max())
+    # HiGHS, asked with J as equalities, agrees
+    assert polyhedra._feasibility_lp(X, list(J)) is None
+    assert face_feasible_point(X, J) is None
+
+
+def _gram_split(AW, a):
+    """``polyhedra._split`` through the Gram system ``A_W A_W^T r = A_W a``."""
+    r = np.linalg.solve(AW @ AW.T, AW @ a)
+    return r, a - r @ AW
+
+
+def test_a_ray_that_fails_its_check_goes_to_highs(monkeypatch):
+    # split through the Gram matrix, which squares the condition number
+    # of the near-parallel rows in W, the loop on seed 28's face (2, 7)
+    # ends on a dual ray with b^T y > 0: no proof, so HiGHS decides
+    X = _near_parallel_variant(28)
+    P = _face(X, (2, 7))
+    ray_b, highs_calls = [], []
+    is_ray, highs = polyhedra._is_farkas_ray, polyhedra._feasibility_lp
+    monkeypatch.setattr(polyhedra, "_split", _gram_split)
+    monkeypatch.setattr(polyhedra, "_is_farkas_ray",
+                        lambda poly, y: ray_b.append(y @ poly.b) or is_ray(poly, y))
+    monkeypatch.setattr(polyhedra, "_feasibility_lp",
+                        lambda poly, J: highs_calls.append(J) or highs(poly, J))
+    # the loop raises no Infeasible of its own: it leaves by its failure exit
+    assert polyhedra._dual_loop(P, np.zeros(X.dim)) is None
+    assert len(ray_b) == 1 and ray_b[0] > 0.0
+    assert face_feasible_point(X, (2, 7)) is None
+    assert len(ray_b) == 2 and highs_calls == [[2, 7]]
 
 
 @settings(max_examples=200, deadline=None)
