@@ -342,25 +342,30 @@ class FixedPointSetDescription:
         return lower, self.poly.contains(nearest, slack)
 
     def distance(self, x):
-        """Distance from ``x`` to the set: the nearest zero set's when its
-        projection lies in ``poly``, else the projection onto ``poly``."""
+        """Distance to the set from one point, or from each row of a 2-D
+        ``x``: the nearest zero set's when its projection lies in ``poly``,
+        else the projection onto ``poly``, one block projection for all
+        such rows."""
         x = np.asarray(x, dtype=float)
-        lower, inside = self._nearest_zero_set(x[None, :])
-        if inside[0]:
-            return float(lower[0])
-        return float(np.linalg.norm(x - self.projector(x)))
+        xs = x.reshape(-1, x.shape[-1])
+        out, inside = self._nearest_zero_set(xs)
+        far = xs[~inside]
+        out[~inside] = np.linalg.norm(far - self.projector(far), axis=1)
+        return out if x.ndim == 2 else float(out[0])
 
     def distances(self, xs):
         """``distance`` of each row of ``xs``.  The zero-set test runs on
         equal chunks of at most ``DISTANCE_CHUNK`` rows per zero set, and
-        only the rows it does not settle go through ``distance``."""
+        the rows of a chunk it does not settle go through one ``distance``
+        call."""
         xs = np.asarray(xs, dtype=float)
         out = np.empty(xs.shape[0])
         chunks = -(-xs.shape[0] * len(self.zero_sets) // DISTANCE_CHUNK)
         for rows in np.array_split(np.arange(xs.shape[0]), max(1, chunks)):
             out[rows], inside = self._nearest_zero_set(xs[rows])
-            for i in rows[~inside]:
-                out[i] = self.distance(xs[i])
+            far = rows[~inside]
+            if far.size:
+                out[far] = self.distance(xs[far])
         return out
 
 

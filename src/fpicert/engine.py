@@ -132,9 +132,11 @@ def estimate_rates(F, fixset, R, samples=200, seed=0):
     Points are drawn as ``representative + r * direction`` with uniform
     direction and radius ``r`` uniform on (0, R].  Samples that land on
     the fixed set itself are excluded (``EmptyFixedSet`` when all do).
-    The samples and then their images are measured with one ``distances``
-    call each; a sample with a zero residual gives ``k_tilde = inf``.
-    Deterministic for a given seed.
+    The kept samples are stepped in one call of ``F.evaluate.rows`` when
+    the step has it (the Douglas-Rachford step of an LP or QP does), else
+    one call of ``F.evaluate`` each.  The samples and then their images
+    are measured with one ``distances`` call each; a sample with a zero
+    residual gives ``k_tilde = inf``.  Deterministic for a given seed.
     """
     if fixset is None or getattr(fixset, "representative", None) is None:
         raise EmptyFixedSet("estimate_rates needs a nonempty fixed-point set")
@@ -154,9 +156,10 @@ def estimate_rates(F, fixset, R, samples=200, seed=0):
     xs, d_xs = xs[kept], d_xs[kept]
     if len(xs) == 0:
         raise EmptyFixedSet("all samples landed on the fixed-point set")
-    fxs = np.reshape([F.evaluate(x) for x in xs], xs.shape)
+    rows = getattr(F.evaluate, "rows", None)
+    fxs = rows(xs) if rows is not None else np.reshape([F.evaluate(x) for x in xs], xs.shape)
     d_fxs = fixset.distances(fxs)
-    residuals = np.array([np.linalg.norm(fx - x) for x, fx in zip(xs, fxs)])
+    residuals = np.linalg.norm(fxs - xs, axis=1)
     with np.errstate(divide="ignore"):
         k_tilde = np.max(d_xs / residuals)
     return EmpiricalRates(rho_tilde=float(np.max(d_fxs / d_xs)),

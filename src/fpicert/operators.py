@@ -171,6 +171,7 @@ class AffineDRStep(DRStep):
     ``dr_piece``, built when the face changes.  ``orbit`` takes a block of
     steps with one product by that map each and certifies the block with
     one ``Projector.accept``; it keeps ``O(n^2)`` numbers cached.
+    ``rows`` takes one step from each row of a block.
     """
 
     def __init__(self, prox_f, prox_g, alpha):
@@ -191,6 +192,14 @@ class AffineDRStep(DRStep):
         self._Tt = Tt
         self._face = project.active
         self._length = FIRST_BLOCK
+
+    def rows(self, U):
+        """The step from each row of ``U``: ``P`` from one block projection
+        (``Projector``), then ``Q = (2 P - U) W^T - h``."""
+        P = self.prox_f.projector(U)
+        W, h = self.prox_g.affine
+        Q = (2.0 * P - U) @ W.T - h
+        return U + self.two_alpha * (Q - P)
 
     def orbit(self, w, k, tol):
         """Up to ``k`` next iterates from ``w`` as rows, with their step

@@ -49,7 +49,10 @@ enumeration of the analysis layer builds its faces in stacks and the
 the face of the last certified active set first and accepts the result
 only if it is feasible within the cold loop's slack and its multipliers
 are nonnegative, falling back to the cold loop otherwise; it also tests
-whole blocks of points against its held face under the same rule.
+whole blocks of points against its held face under the same rule.  A
+block projection tries every cold face on all open rows of a block: the
+first row the held face fails goes to the cold loop, and the face of
+that result is tried on every row still open.
 """
 
 import math
@@ -265,8 +268,11 @@ class Projector:
     rows of J tight to the same slack, and every multiplier ``>= 0``
     exactly (the cold loop's final multipliers may round below zero).
     Otherwise it runs the cold loop and caches the active set of that
-    result.  ``hits`` and ``misses`` count the two outcomes; ``accept``
-    adds a block's certified points to ``hits``.
+    result.  A 2-D block of rows is projected by the same rule: every
+    open row is tried on the held face, the first row that fails goes
+    to the cold loop, whose face is then tried on every row still open.
+    ``hits`` and ``misses`` count the two outcomes, one per row;
+    ``accept`` adds a block's certified points to ``hits``.
     """
 
     def __init__(self, poly):
@@ -315,6 +321,10 @@ class Projector:
         return n
 
     def __call__(self, u):
+        """The projection of one point, or of each row of a 2-D ``u``."""
+        u = np.asarray(u, dtype=float)
+        if u.ndim == 2:
+            return self._block(u)
         u = _as_point(self.poly, u)
         x, ok = self._warm(u)
         if ok:
@@ -324,6 +334,23 @@ class Projector:
         x, active = _project_active_set(self.poly, u)
         self._cache(active)
         return x
+
+    def _block(self, U):
+        if U.shape[1] != self.poly.dim:
+            raise ValueError(f"rows have length {U.shape[1]}, expected {self.poly.dim}")
+        X = np.empty_like(U)
+        open_rows = np.arange(len(U))
+        while open_rows.size:
+            Y, ok = self._warm(U[open_rows])
+            X[open_rows[ok]] = Y[ok]
+            self.hits += int(np.count_nonzero(ok))
+            open_rows = open_rows[~ok]
+            if open_rows.size:
+                i, open_rows = open_rows[0], open_rows[1:]
+                self.misses += 1
+                X[i], active = _project_active_set(self.poly, U[i])
+                self._cache(active)
+        return X
 
 
 def _candidate(poly, J, u):

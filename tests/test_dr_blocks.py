@@ -202,3 +202,16 @@ def test_only_affine_pieces_get_blocks():
     assert hasattr(make_dr(box, quadratic, 1.0, 0.5)[0].evaluate, "orbit")
     assert not hasattr(make_dr(box, l1, 1.0, 0.5)[0].evaluate, "orbit")
     assert not hasattr(make_dr(quadratic, l1, 1.0, 0.5)[0].evaluate, "orbit")
+
+
+@pytest.mark.parametrize("name", ["s117", "lp-s12"])
+def test_rows_take_one_step_from_each_row(name):
+    inst, gamma, x0 = _start(name)
+    op, _ = make_dr(*problems.split_functions(inst), gamma, 0.5)
+    U = x0 + np.random.default_rng(1).standard_normal((40, len(x0)))
+    one, _ = make_dr(*problems.split_functions(inst), gamma, 0.5)
+    expected = np.array([one.evaluate(u) for u in U])
+    got = op.evaluate.rows(U)
+    assert np.abs(got - expected).max() <= 1e-12 * (1.0 + np.abs(U).max())
+    project = op.evaluate.prox_f.projector
+    assert project.hits + project.misses == len(U)

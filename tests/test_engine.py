@@ -245,3 +245,27 @@ def test_terminal_contraction_counts_a_roundoff_residual_as_finite_convergence()
     fit, mode = terminal(5e-11)
     assert mode == "finite-convergence-fallback"
     assert fit == pytest.approx((5e-11 / 0.6) ** 0.5)
+
+
+def test_block_steps_and_distances_leave_few_cold_projections():
+    # estimate_rates on the 20 acceptance LPs, 4,000 samples: the DR step
+    # projects its samples onto X in one block, and the distances project
+    # their unsettled rows onto Fix in one block per chunk, so a cold face
+    # serves every open row.  One sample at a time, 984 projections onto
+    # X and 688 onto Fix were cold.  Active sets at degenerate points
+    # depend on roundoff, hence a bound, not a count.
+    misses = {"X": 0, "Fix": 0}
+    samples = 0
+    for seed, (n, m) in enumerate([(2, 4), (3, 6), (4, 8), (5, 10), (6, 12)] * 4):
+        inst, _ = problems.generate_lp(n, m, seed)
+        fs = verify.certify(inst, 1.0, 0.5)[1]
+        op, _ = make_dr(*problems.split_functions(inst), 1.0, 0.5)
+        projectors = {"X": op.evaluate.prox_f.projector, "Fix": fs.projector}
+        before = {k: p.misses for k, p in projectors.items()}
+        engine.estimate_rates(op, fs, R=1e-3 * (1.0 + np.linalg.norm(fs.representative)),
+                              samples=200, seed=0)
+        for k, p in projectors.items():
+            misses[k] += p.misses - before[k]
+        samples += 200
+    for k in misses:
+        assert misses[k] <= 0.1 * samples, (k, misses[k])

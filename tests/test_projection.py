@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fpicert import polyhedra
+from fpicert import polyhedra, verify
 from fpicert.errors import Infeasible
 from fpicert.polyhedra import (KKT_TOL, Face, Polyhedron, Projector,
                                affine_rows, face_feasible_point,
@@ -330,3 +330,67 @@ def test_projector_holds_no_face_when_its_gram_matrix_is_singular(monkeypatch):
         assert np.allclose(project(np.array([2.0, 0.5])), [1.0, 0.5])
         assert project.active == () and project.face.active == ()
     assert (project.hits, project.misses) == (0, 2)
+
+
+#: The 20 acceptance LPs, ``generate_lp(n, m, seed)``, as ``(seed, (n, m))``.
+ACCEPTANCE_LPS = list(enumerate([(2, 4), (3, 6), (4, 8), (5, 10), (6, 12)] * 4))
+
+
+def _fixed_set(inst):
+    return verify.certify(inst, 1.0, 0.5)[1]
+
+
+def _samples(center, R, count, seed):
+    """Rows drawn as ``engine.estimate_rates`` draws its samples."""
+    rng = np.random.default_rng(seed)
+    rows = []
+    for _ in range(count):
+        direction = rng.standard_normal(center.shape[0])
+        rows.append(center + (R * rng.uniform(0.0, 1.0)) * direction
+                    / np.linalg.norm(direction))
+    return np.reshape(rows, (count, center.shape[0]))
+
+
+def test_block_projections_match_cold_projections():
+    # the nine-piece fixed set of lp-n3-m6-s0, and X of every acceptance
+    # LP with rows drawn around its fixed point as estimate_rates draws them
+    inst, _ = generate_lp(3, 6, 0)
+    fs = _fixed_set(inst)
+    assert len(fs.zero_sets) == 9
+    cases = [(fs.poly, _samples(fs.representative, R, 200, 5)) for R in (1e-3, 1.0)]
+    for seed, (n, m) in ACCEPTANCE_LPS:
+        inst, _ = generate_lp(n, m, seed)
+        center = _fixed_set(inst).representative
+        cases.append((inst.X, _samples(center, 1e-3 * (1.0 + np.linalg.norm(center)),
+                                       200, seed)))
+    for poly, U in cases:
+        project = Projector(poly)
+        got = project(U)
+        cold = np.array([project_polyhedron(poly, u) for u in U])
+        assert np.abs(got - cold).max() <= 1e-12
+        assert project.misses < project.hits
+
+
+def test_a_block_of_one_gives_the_point_call_bits():
+    inst, _ = generate_lp(3, 6, 0)
+    fs = _fixed_set(inst)
+    for poly in (inst.X, fs.poly):
+        one, block = Projector(poly), Projector(poly)
+        for u in _samples(fs.representative, 1.0, 100, 3):
+            x = one(u)
+            assert np.array_equal(block(u[None])[0], x)
+            assert block.active == one.active
+        assert (block.hits, block.misses) == (one.hits, one.misses)
+        assert one.misses > 0 and one.hits > 0
+
+
+def test_a_block_counts_one_hit_or_miss_per_row():
+    inst, _ = generate_lp(4, 8, 2)
+    center = _fixed_set(inst).representative
+    project = Projector(inst.X)
+    for R, count in ((1e-3, 50), (1.0, 50), (10.0, 7), (1.0, 0)):
+        before = project.hits + project.misses
+        assert project(_samples(center, R, count, count)).shape == (count, inst.dim)
+        assert project.hits + project.misses == before + count
+    with pytest.raises(ValueError):
+        project(np.zeros((2, inst.dim + 1)))
