@@ -24,7 +24,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .engine import IterationTrace, STOP_MAX_ITERS
 from .errors import StepTooLarge
 from .linalg import lambda_max_psd
 # prox and project_polyhedron are not called here; they stay importable
@@ -168,20 +167,23 @@ class AffineDRStep(DRStep):
     """The DR step when f is a polyhedral indicator and ``prox_g(x) = W x - h``
     (g quadratic; a linear g has ``W = I``).  While f's projector holds a
     face J, the step is the affine map ``w -> (I - M) w + v`` of
-    ``dr_piece``, built when the face changes.  ``orbit`` takes a block of
-    steps with one product by that map each and certifies the block with
-    one ``Projector.accept``; it keeps ``O(n^2)`` numbers cached.
-    ``rows`` takes one step from each row of a block.
+    ``dr_piece``, built when the face changes.  ``orbit`` fills a block of
+    steps by doubling, one product per power of two of that map, and
+    certifies the block with one ``Projector.accept``; the powers are
+    squared as blocks need them and dropped with the face, so it keeps
+    ``O(n^2 log MAX_BLOCK)`` numbers cached.  ``rows`` takes one step
+    from each row of a block.
     """
 
     def __init__(self, prox_f, prox_g, alpha):
         super().__init__(prox_f, prox_g, alpha)
         self._alpha = alpha
-        self._face = None  # active set of ``_Tt``
+        self._face = None  # active set of ``_Tt`` and ``_powers``
         self._length = FIRST_BLOCK
 
     def _hold(self, project):
-        """Cache ``[[I - M, v], [0, 1]]`` of the projector's face."""
+        """Cache ``[[I - M, v], [0, 1]]`` of the projector's face, and
+        start its powers over."""
         face = project.face
         M, v = dr_piece(*self.prox_g.affine, self._alpha, face.D[None], face.offset[None])
         n = v.shape[1]
@@ -190,6 +192,7 @@ class AffineDRStep(DRStep):
         Tt[:n, n] = v[0]
         Tt[n, n] = 1.0
         self._Tt = Tt
+        self._powers = [Tt.T]  # (T^(2^i))^T, squared as far as a block needs
         self._face = project.active
         self._length = FIRST_BLOCK
 
@@ -206,22 +209,32 @@ class AffineDRStep(DRStep):
         lengths, ending after the first step of length ``<= tol``: the
         iterates of as many calls, up to roundoff.
 
-        The rows are ``x <- (I - M) x + v`` on the projector's held
-        face.  The projector tests, under its one warm-face rule, the
-        point each row's step projects; rows are kept up to the first
-        point it does not certify, and the step from that point is one
-        call, whose cold projection moves the projector to the new face.
+        The rows are ``x_j = T^j x_0`` for the held face's map ``T =
+        [[I - M, v], [0, 1]]`` on points ``(x, 1)``, filled by doubling:
+        rows ``[d, 2d)`` are rows ``[0, d)`` times ``(T^d)^T``, so a block
+        of ``L`` rows takes ``ceil(log2(L + 1))`` products.  The projector
+        tests, under its one warm-face rule, the point each row's step
+        projects; rows are kept up to the first point it does not
+        certify, and the step from that point is one call, whose cold
+        projection moves the projector to the new face.
         """
         project = self.prox_f.projector
         if project.active != self._face:
             self._hold(project)
         L = min(self._length, k)
         n = len(w)
-        X = np.empty((L + 1, n + 1))  # rows (x, 1), so one product is a step
+        X = np.empty((L + 1, n + 1))  # rows (x, 1), so a product by T^d is d steps
         X[0, :n] = w
         X[0, n] = 1.0
-        for x, y in zip(X[:-1], X[1:]):
-            np.dot(self._Tt, x, out=y)
+        powers = self._powers
+        d = 1
+        while d <= L:  # rows [d, 2d) are rows [0, d) advanced by T^d
+            i = d.bit_length() - 1
+            if i == len(powers):
+                powers.append(powers[-1] @ powers[-1])
+            c = min(d, L + 1 - d)
+            np.dot(X[:c], powers[i], out=X[d:d + c])
+            d *= 2
         X = X[:, :n]
         steps = X[1:] - X[:-1]
         r = np.sqrt(np.add.reduce(steps * steps, axis=1))
@@ -298,48 +311,3 @@ def make_admm_xy_split(f, g, rho):
         provenance=prov,
     )
     return op, lambda w: dr_eval.prox_f(rho * w)
-
-
-def run_admm_direct(f, g, rho, y0=None, w0=None, iters=100):
-    """Direct alternating-direction iteration for ``min f(x) + g(y)``
-    subject to ``x = y``, returning the scaled-dual trace.
-
-    Updates (penalty 1/rho, so both block updates are prox maps at scale
-    rho; the x-block is a linear solve for quadratic f):
-
-        y_{k+1} = prox(g, rho, x_k + u_k)
-        x_{k+1} = prox(f, rho, y_{k+1} - u_k)
-        u_{k+1} = u_k + x_{k+1} - y_{k+1}
-
-    The reported dual variable is ``w_k = (x_k - u_k) / rho``, which
-    follows exactly the operator from :func:`make_admm_xy_split`.  When
-    ``y0`` is omitted the start is made consistent
-    (``x_0 = prox(f, rho, rho w_0)``) so the match holds from step 0;
-    an arbitrary ``y0`` becomes consistent after one iteration.
-    """
-    if rho <= 0:
-        raise ValueError("rho must be positive")
-    n = f.dimension
-    w0 = np.zeros(n) if w0 is None else np.asarray(w0, dtype=float)
-    prox_f = prox_map(f, rho)
-    prox_g = prox_map(g, rho)
-    x = prox_f(rho * w0) if y0 is None else np.asarray(y0, dtype=float).copy()
-    u = x - rho * w0
-    xs, ys, ws = [x.copy()], [x.copy()], [w0.copy()]
-    residuals = []
-    for _ in range(iters):
-        y = prox_g(x + u)
-        x = prox_f(y - u)
-        u = u + x - y
-        w = (x - u) / rho
-        residuals.append(float(np.linalg.norm(w - ws[-1])))
-        xs.append(x.copy())
-        ys.append(y.copy())
-        ws.append(w.copy())
-    return IterationTrace(
-        iterates=np.asarray(ws),
-        residuals=np.asarray(residuals),
-        limit=ws[-1].copy(),
-        stop_reason=STOP_MAX_ITERS,
-        aux={"x": np.asarray(xs), "y": np.asarray(ys)},
-    )

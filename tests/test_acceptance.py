@@ -23,11 +23,11 @@ from fpicert.engine import STOP_RESIDUAL
 from fpicert.linalg import (condition_number_plus, lambda_max_psd,
                             pseudo_inverse)
 from fpicert.operators import (make_admm_xy_split, make_dr,
-                               make_proximal_gradient, make_proximal_point,
-                               run_admm_direct)
+                               make_proximal_gradient, make_proximal_point)
 from fpicert.polyhedra import (Polyhedron, is_empty, project_brute_force,
                                project_polyhedron)
 from fpicert.prox import conjugate_pair_examples, l1, moreau_residual, quadratic
+from oracles import run_admm_direct
 
 LAM_GRID = (0.1, 0.3, 0.5, 0.9)
 THETA_GRID = (np.pi / 6, np.pi / 3, np.pi / 2, 2 * np.pi / 3)

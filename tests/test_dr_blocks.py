@@ -18,7 +18,8 @@ from fpicert import engine, problems, verify
 from fpicert import prox as fn
 from fpicert.errors import NonFinite
 from fpicert.linalg import lambda_max_psd
-from fpicert.operators import MAX_BLOCK, FixedPointOperator, Provenance, make_dr
+from fpicert.operators import (FIRST_BLOCK, MAX_BLOCK, FixedPointOperator, Provenance,
+                               make_dr)
 from fpicert.polyhedra import Face, Polyhedron, Projector, project_polyhedron
 
 CASES = {"s117": ("qp", 4, 8, 3, 117), "s106": ("qp", 3, 6, 2, 106),
@@ -66,6 +67,89 @@ def test_blocks_follow_the_one_step_path(name, max_iters):
     _assert_same_run(one, block)
     assert (p_block.hits, p_block.misses) == (p_one.hits, p_one.misses)
     assert p_one.hits > p_one.misses
+
+
+def _row_by_row_orbit(step):
+    """An ``orbit`` for ``step`` that computes each row of a block as one
+    product by the held face's ``_Tt``, not by doubling."""
+
+    def orbit(w, k, tol):
+        project = step.prox_f.projector
+        if project.active != step._face:
+            step._hold(project)
+        L = min(step._length, k)
+        X = np.empty((L + 1, len(w) + 1))
+        X[0] = np.append(w, 1.0)
+        for j in range(L):
+            X[j + 1] = step._Tt @ X[j]
+        X = X[:, :-1]
+        r = np.linalg.norm(X[1:] - X[:-1], axis=1)
+        stop = np.flatnonzero(r <= tol)
+        if stop.size:
+            L = int(stop[0]) + 1
+        taken = project.accept(X[:L])
+        if taken < L:
+            X[taken + 1] = step(X[taken])
+            r[taken] = np.linalg.norm(X[taken + 1] - X[taken])
+            L = taken + 1
+        elif taken == step._length:
+            step._length = min(2 * taken, MAX_BLOCK)
+        return X[1:L + 1], r[:L]
+
+    return orbit
+
+
+def test_doubled_blocks_follow_row_by_row_blocks_over_the_s106_budget():
+    # s106 stalls: it takes all 200,000 steps of its budget, nearly all in
+    # blocks of MAX_BLOCK rows, so every power the doubling squares is used
+    inst, gamma, x0 = _start("s106")
+    runs = []
+    for row_by_row in (True, False):
+        op, _ = make_dr(*problems.split_functions(inst), gamma, 0.5)
+        step = op.evaluate
+        if row_by_row:
+            step.orbit = _row_by_row_orbit(step)
+        runs.append((engine.iterate(op, x0, max_iters=200_000), step.prox_f.projector))
+    (rows, p_rows), (doubled, p_doubled) = runs
+    _assert_same_run(rows, doubled)
+    assert doubled.num_steps == 200_000
+    assert (p_doubled.hits, p_doubled.misses) == (p_rows.hits, p_rows.misses)
+    assert len(step._powers) == MAX_BLOCK.bit_length()  # T, T^2, ..., T^MAX_BLOCK
+
+
+def test_each_held_face_starts_its_own_powers():
+    # lp-s12 changes face several times: the first block on each held face
+    # must be row-by-row products of that face's map, so no power of the
+    # face before survives the change
+    inst, gamma, x0 = _start("lp-s12")
+    op, _ = make_dr(*problems.split_functions(inst), gamma, 0.5)
+    step = op.evaluate
+    project = step.prox_f.projector
+    hold, orbit = step._hold, step.orbit
+    held, checked = [], []
+
+    def record(project):
+        hold(project)
+        held.append(project.active)
+
+    def checked_orbit(w, k, tol):
+        holds, misses = len(held), project.misses
+        rows, r = orbit(w, k, tol)
+        assert len(step._powers) <= MAX_BLOCK.bit_length()  # log2(MAX_BLOCK) + 1
+        if len(held) > holds:
+            kept = len(rows) - (project.misses - misses)  # a face change ends in a cold step
+            x = np.append(w, 1.0)
+            for row in rows[:kept]:
+                x = step._Tt @ x
+                assert np.abs(row - x[:-1]).max() <= 1e-12 * (1.0 + np.linalg.norm(x[:-1]))
+            checked.append(kept)
+        return rows, r
+
+    step._hold = record
+    step.orbit = checked_orbit
+    engine.iterate(op, x0, max_iters=200_000)
+    assert len(set(held)) > 1 and len(checked) == len(held)
+    assert max(checked) == FIRST_BLOCK
 
 
 @pytest.mark.parametrize("residual_tol, max_iters", [(1e-6, 200_000), (1e-30, 1000)])
@@ -174,8 +258,9 @@ def test_a_block_that_leaves_the_finite_range_raises():
 
 def test_blocks_of_a_large_qp_keep_quadratic_memory():
     # n = 300 and a constraint that never binds: the blocks reach MAX_BLOCK
-    # rows, and what they allocate is a few n x n matrices (the cached
-    # affine step) and a few blocks of rows, never a stack of n x n powers
+    # rows, and what they allocate is the cached affine step with its
+    # log2(MAX_BLOCK) squarings and a few blocks of rows, never a stack of
+    # one n x n power per row
     n = 300
     f = fn.polyhedral_indicator(Polyhedron(np.ones((1, n)), np.array([1e6])))
     g = fn.quadratic(np.diag(np.linspace(1e-3, 1.0, n)), np.ones(n))

@@ -6,9 +6,10 @@ from fpicert import engine, problems
 from fpicert.errors import StepTooLarge
 from fpicert.operators import (compose_alpha, make_admm_xy_split, make_dr,
                                make_gd, make_pr, make_proximal_gradient,
-                               make_proximal_point, run_admm_direct)
+                               make_proximal_point)
 from fpicert.polyhedra import Polyhedron, whole_space
 from fpicert.prox import l1, linear, polyhedral_indicator, prox, quadratic
+from oracles import run_admm_direct
 
 
 def test_gd_on_identity_quadratic_is_scaled_identity():
