@@ -1,7 +1,7 @@
 """Piecewise-affine decomposition of the splitting residual map on
 linear and quadratic programs, with the certified quantities built on it:
 per-piece relative Hoffman bounds, the operator-level error-bound
-constant, the fixed-point set as one polyhedron, and distances to it.
+constant, the fixed-point set as one polyhedron, and the distance to it.
 
 The residual map ``x - F(x)`` of the Douglas-Rachford operator on
 ``min c'x (+ 0.5 x'Qx)  s.t.  A x <= b`` is affine on each region
@@ -17,7 +17,9 @@ iterated DR step takes its face from ``Face.of`` and its map from
 ``dr_piece``, both on a stack of one, so its bits are the pieces'.
 ``enumerate_pieces_lp`` and ``enumerate_pieces_qp`` only supply the
 affine prox ``prox_g(x) = W x - h`` of their objective.  The remaining
-functions consume the pieces.
+functions consume the pieces.  ``FixedPointSetDescription.distance`` is
+the one distance to the fixed-point set, from one point or from each
+row of a 2-D block.
 """
 
 from dataclasses import dataclass
@@ -43,7 +45,7 @@ ZERO_CERT_TOL = 1e-8
 #: Slack for region-membership tests.
 REGION_TOL = 1e-9
 
-#: Rows times zero sets per batch in ``FixedPointSetDescription.distances``.
+#: Rows times zero sets per zero-set test in ``FixedPointSetDescription.distance``.
 DISTANCE_CHUNK = 4096
 
 #: Row sets per stacked solve: the bases of ``_basic_points`` and the
@@ -343,30 +345,20 @@ class FixedPointSetDescription:
 
     def distance(self, x):
         """Distance to the set from one point, or from each row of a 2-D
-        ``x``: the nearest zero set's when its projection lies in ``poly``,
-        else the projection onto ``poly``, one block projection for all
-        such rows."""
+        ``x``.  The zero-set test runs on equal chunks of at most
+        ``DISTANCE_CHUNK`` rows per zero set; a row it settles is at the
+        nearest zero set's distance, and every row it leaves open goes
+        through one block projection onto ``poly``."""
         x = np.asarray(x, dtype=float)
         xs = x.reshape(-1, x.shape[-1])
-        out, inside = self._nearest_zero_set(xs)
+        out = np.empty(len(xs))
+        inside = np.empty(len(xs), dtype=bool)
+        chunks = -(-len(xs) * len(self.zero_sets) // DISTANCE_CHUNK)
+        for rows in np.array_split(np.arange(len(xs)), max(1, chunks)):
+            out[rows], inside[rows] = self._nearest_zero_set(xs[rows])
         far = xs[~inside]
         out[~inside] = np.linalg.norm(far - self.projector(far), axis=1)
         return out if x.ndim == 2 else float(out[0])
-
-    def distances(self, xs):
-        """``distance`` of each row of ``xs``.  The zero-set test runs on
-        equal chunks of at most ``DISTANCE_CHUNK`` rows per zero set, and
-        the rows of a chunk it does not settle go through one ``distance``
-        call."""
-        xs = np.asarray(xs, dtype=float)
-        out = np.empty(xs.shape[0])
-        chunks = -(-xs.shape[0] * len(self.zero_sets) // DISTANCE_CHUNK)
-        for rows in np.array_split(np.arange(xs.shape[0]), max(1, chunks)):
-            out[rows], inside = self._nearest_zero_set(xs[rows])
-            far = rows[~inside]
-            if far.size:
-                out[far] = self.distance(xs[far])
-        return out
 
 
 def point_fixed_set(x):

@@ -30,10 +30,6 @@ EXIT_MAX_ITERS = 3
 EXIT_TOO_LARGE = 4
 EXIT_CHECKS_FAILED = 5
 
-#: Traces longer than this skip the objective column (each row costs a
-#: prox evaluation).
-OBJECTIVE_ROW_CAP = 20_000
-
 
 def _angle(text):
     """Parse '0.5', 'pi/3' or '2*pi/3' into a float."""
@@ -96,19 +92,15 @@ def build_parser():
     return parser
 
 
-def _write_trace(path, trace, objective_fn):
+def _write_trace(path, trace, objective):
+    """One CSV row per iterate, with ``objective`` holding one value per
+    iterate; the last iterate has no residual."""
+    residuals = ["%.17g" % r for r in trace.residuals] + [""]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["iter", "residual", "dist_to_fix", "objective"])
-        n_rows = len(trace.iterates)
-        with_objective = objective_fn is not None and n_rows <= OBJECTIVE_ROW_CAP
-        for k in range(n_rows):
-            residual = "%.17g" % trace.residuals[k] if k < len(trace.residuals) else ""
-            dist = ("%.17g" % trace.dist_to_fix[k]
-                    if trace.dist_to_fix is not None else "")
-            obj = ("%.17g" % objective_fn(trace.iterates[k])
-                   if with_objective else "")
-            writer.writerow([k, residual, dist, obj])
+        for k, (r, d, obj) in enumerate(zip(residuals, trace.dist_to_fix, objective)):
+            writer.writerow([k, r, "%.17g" % d, "%.17g" % obj])
 
 
 def cmd_solve(args):
@@ -125,16 +117,12 @@ def cmd_solve(args):
     x0 *= args.start_scale / max(np.linalg.norm(x0), 1e-12)
     trace = engine.iterate(op, x0, residual_tol=args.tol,
                            max_iters=args.max_iters)
-    # distances from the converged limit: an upper bound on the true
+    # the distance from the converged limit: an upper bound on the true
     # distance, recorded as such
-    trace.dist_to_fix = analysis.point_fixed_set(trace.limit).distances(trace.iterates)
-    solution = extraction(trace.limit) if extraction is not None else trace.limit
-
-    def objective_fn(x):
-        point = extraction(x) if extraction is not None else x
-        return instance.objective(point)
-
-    _write_trace(args.out, trace, objective_fn)
+    trace.dist_to_fix = analysis.point_fixed_set(trace.limit).distance(trace.iterates)
+    points = extraction(trace.iterates) if extraction is not None else trace.iterates
+    solution = points[-1]
+    _write_trace(args.out, trace, instance.objective(points))
     meta = {"problem": args.problem, "algorithm": args.algorithm,
             "params": {**op.provenance.params, "tol": args.tol,
                        "max_iters": args.max_iters, "seed": args.seed,

@@ -4,15 +4,15 @@ The engine is agnostic about where operators come from: anything with
 ``evaluate``, ``dimension`` and ``alpha`` attributes can be iterated.
 Every algorithm is run by the one loop of ``iterate``, which takes its
 steps in blocks: a step with an ``orbit`` method gives many rows per
-block, any other step one row per call.  Distances to the fixed-point
-set are supplied by a fixed-set description object exposing
-``distance(x)`` for one point and ``distances(xs)`` for the rows of an
-array; :mod:`fpicert.analysis` describes the set of the splitting
-operator on an LP or QP as one polyhedron.
+block, any other step one row per call.  An operator's ``evaluate``
+maps one point, or each row of a 2-D block, and a fixed-set description
+object exposes ``distance(x)`` under the same convention;
+:mod:`fpicert.analysis` describes the set of the splitting operator on
+an LP or QP as one polyhedron.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,7 +35,6 @@ class IterationTrace:
     limit: np.ndarray
     stop_reason: str
     dist_to_fix: np.ndarray | None = None
-    aux: dict = field(default_factory=dict)
 
     @property
     def num_steps(self):
@@ -132,11 +131,10 @@ def estimate_rates(F, fixset, R, samples=200, seed=0):
     Points are drawn as ``representative + r * direction`` with uniform
     direction and radius ``r`` uniform on (0, R].  Samples that land on
     the fixed set itself are excluded (``EmptyFixedSet`` when all do).
-    The kept samples are stepped in one call of ``F.evaluate.rows`` when
-    the step has it (the Douglas-Rachford step of an LP or QP does), else
-    one call of ``F.evaluate`` each.  The samples and then their images
-    are measured with one ``distances`` call each; a sample with a zero
-    residual gives ``k_tilde = inf``.  Deterministic for a given seed.
+    The kept samples are stepped by one call of ``F.evaluate`` on their
+    block, and the samples and then their images are measured with one
+    ``distance`` call each; a sample with a zero residual gives
+    ``k_tilde = inf``.  Deterministic for a given seed.
     """
     if fixset is None or getattr(fixset, "representative", None) is None:
         raise EmptyFixedSet("estimate_rates needs a nonempty fixed-point set")
@@ -151,14 +149,13 @@ def estimate_rates(F, fixset, R, samples=200, seed=0):
         xs.append(center + (R * rng.uniform(0.0, 1.0)) * direction
                   / np.linalg.norm(direction))
     xs = np.reshape(xs, (-1, n))
-    d_xs = fixset.distances(xs)
+    d_xs = fixset.distance(xs)
     kept = d_xs > 1e-14 * (1.0 + np.linalg.norm(xs, axis=1))
     xs, d_xs = xs[kept], d_xs[kept]
     if len(xs) == 0:
         raise EmptyFixedSet("all samples landed on the fixed-point set")
-    rows = getattr(F.evaluate, "rows", None)
-    fxs = rows(xs) if rows is not None else np.reshape([F.evaluate(x) for x in xs], xs.shape)
-    d_fxs = fixset.distances(fxs)
+    fxs = F.evaluate(xs)
+    d_fxs = fixset.distance(fxs)
     residuals = np.linalg.norm(fxs - xs, axis=1)
     with np.errstate(divide="ignore"):
         k_tilde = np.max(d_xs / residuals)

@@ -7,10 +7,12 @@ refuses).  Operators keep a provenance record: the algorithm and the
 parameters it read, which ``fpicert solve`` writes to its metadata.
 
 Each map has one constructor, and ``engine.iterate`` steps them all.
-Projected gradient is proximal gradient with the constraint indicator
-as g.  A splitting factory also returns its extraction, the map from a
-fixed point to a minimizer: the step's own prepared prox of f for DR
-and PR, ``w -> prox_f(rho w)`` for ADMM.
+Every ``evaluate`` maps one point, shape ``(n,)``, or each row of a
+block, shape ``(k, n)``.  Projected gradient is proximal gradient with
+the constraint indicator as g, and Peaceman-Rachford is Douglas-Rachford
+at alpha = 1.  A splitting factory also returns its extraction, the map
+from a fixed point to a minimizer: the step's own prepared prox of f for
+DR and PR, ``w -> prox_f(rho w)`` for ADMM.
 
 ``dr_piece`` is the one formula for the Douglas-Rachford map on a face
 of a polyhedral f with an affine prox of g: the analysis layer's pieces
@@ -88,7 +90,7 @@ def make_gd(f, lam):
     return FixedPointOperator(
         dimension=f.dimension,
         alpha=alpha if alpha > 0.0 else 1.0,  # Q = 0: a translation, flagged
-        evaluate=lambda x: x - lam * (Q @ x + c),
+        evaluate=lambda x: x - lam * (x @ Q.T + c),
         provenance=prov,
     )
 
@@ -117,7 +119,7 @@ def make_proximal_gradient(f, g, lam):
     return FixedPointOperator(
         dimension=f.dimension,
         alpha=alpha,
-        evaluate=lambda x: prox_g(x - lam * (Q @ x + c)),
+        evaluate=lambda x: prox_g(x - lam * (x @ Q.T + c)),
         provenance=prov,
     )
 
@@ -132,7 +134,8 @@ MAX_BLOCK = 1024
 
 class DRStep:
     """The Douglas-Rachford step ``w -> w + 2a (prox_g(2 p - w) - p)``,
-    ``p = prox_f(w)``, from the prepared prox maps of f and g."""
+    ``p = prox_f(w)``, from the prepared prox maps of f and g, of one
+    point or of each row of a block."""
 
     def __init__(self, prox_f, prox_g, alpha):
         self.two_alpha = 2.0 * alpha
@@ -171,8 +174,7 @@ class AffineDRStep(DRStep):
     steps by doubling, one product per power of two of that map, and
     certifies the block with one ``Projector.accept``; the powers are
     squared as blocks need them and dropped with the face, so it keeps
-    ``O(n^2 log MAX_BLOCK)`` numbers cached.  ``rows`` takes one step
-    from each row of a block.
+    ``O(n^2 log MAX_BLOCK)`` numbers cached.
     """
 
     def __init__(self, prox_f, prox_g, alpha):
@@ -195,14 +197,6 @@ class AffineDRStep(DRStep):
         self._powers = [Tt.T]  # (T^(2^i))^T, squared as far as a block needs
         self._face = project.active
         self._length = FIRST_BLOCK
-
-    def rows(self, U):
-        """The step from each row of ``U``: ``P`` from one block projection
-        (``Projector``), then ``Q = (2 P - U) W^T - h``."""
-        P = self.prox_f.projector(U)
-        W, h = self.prox_g.affine
-        Q = (2.0 * P - U) @ W.T - h
-        return U + self.two_alpha * (Q - P)
 
     def orbit(self, w, k, tol):
         """Up to ``k`` next iterates from ``w`` as rows, with their step
@@ -260,16 +254,13 @@ def _dr_step(f, g, gamma, alpha):
     return DRStep(prox_f, prox_g, alpha)
 
 
-def make_dr(f, g, gamma, alpha):
-    """Douglas-Rachford map ``(1-a) w + a ref(g) o ref(f) (w)`` together
+def _splitting(f, g, gamma, alpha, prov):
+    """The DR step of f and g at ``gamma`` and ``alpha`` as an operator,
     with the extraction ``w -> prox(f, gamma, w)``, the step's own
     ``ProxMap`` of f, that recovers a minimizer of f + g from any fixed
     point."""
-    if not 0.0 < alpha < 1.0:
-        raise ValueError("alpha must lie in (0, 1)")
     if f.dimension != g.dimension:
         raise ValueError("f and g live in different spaces")
-    prov = Provenance("dr", {"gamma": gamma, "alpha": alpha})
     op = FixedPointOperator(
         dimension=f.dimension,
         alpha=alpha,
@@ -279,19 +270,20 @@ def make_dr(f, g, gamma, alpha):
     return op, op.evaluate.prox_f
 
 
+def make_dr(f, g, gamma, alpha):
+    """Douglas-Rachford map ``(1-a) w + a ref(g) o ref(f) (w)`` together
+    with its extraction (``_splitting``)."""
+    if not 0.0 < alpha < 1.0:
+        raise ValueError("alpha must lie in (0, 1)")
+    return _splitting(f, g, gamma, alpha, Provenance("dr", {"gamma": gamma, "alpha": alpha}))
+
+
 def make_pr(f, g, gamma):
-    """Peaceman-Rachford map ``ref(g) o ref(f)``: the alpha = 1 limit of
-    Douglas-Rachford.  Nonexpansive but not averaged, so no rate
-    certificate applies; its fixed points coincide with DR's, and so
-    does its extraction, returned with it as by ``make_dr``."""
-    prov = Provenance("pr", {"gamma": gamma})
-    op = FixedPointOperator(
-        dimension=f.dimension,
-        alpha=1.0,
-        evaluate=_dr_step(f, g, gamma, 1.0),
-        provenance=prov,
-    )
-    return op, op.evaluate.prox_f
+    """Peaceman-Rachford map ``ref(g) o ref(f)``: Douglas-Rachford at
+    alpha = 1.  Nonexpansive but not averaged, so no rate certificate
+    applies; its fixed points coincide with DR's, and so does its
+    extraction, returned with it as by ``make_dr``."""
+    return _splitting(f, g, gamma, 1.0, Provenance("pr", {"gamma": gamma}))
 
 
 def make_admm_xy_split(f, g, rho):

@@ -4,35 +4,28 @@ A polyhedron is ``{x : A x <= b}``.  Equality constraints are encoded as
 paired inequality rows (``+row`` and ``-row``), which is how the analysis
 layer builds the regions it projects onto.
 
-Two projection routes are provided and kept deliberately independent:
-
-* ``project_polyhedron`` runs the dual active-set method of Goldfarb
-  and Idnani (Math. Programming 27, 1983) for a unit Hessian once and
-  keeps no warm-start state.  A working set W of independent rows is
-  held at equality with multipliers ``lam >= 0`` at the point
-  ``u - A_W^T lam``.  The most violated row p enters by dual steps: its
-  multiplier grows by t, ``lam`` moves by ``-t r`` and the point by
-  ``-t z``, where ``a_p = A_W^T r + z`` splits a_p along the rows of
-  A_W and across them (from a QR factorization of ``A_W^T``, so that
-  near-parallel rows in W do not square its condition number).  A full
-  step makes p tight and adds it; a step cut short where a working
-  multiplier reaches zero drops that row and goes on with the same p,
-  which is never dropped.  No feasible start is needed; the point is
-  recomputed from the final working set.  The loop raises
-  ``Infeasible`` or ``NoCertificate`` only.  A p in the span of A_W
-  with no blocking row gives the dual ray ``y`` (``y_W = -r``,
-  ``y_p = 1``); it is checked as a Farkas certificate (``y >= 0``,
-  ``A^T y = 0``, ``b^T y < 0``, each to ``RAY_TOL``) and, when it
-  passes, proves the polyhedron empty and rides on the ``Infeasible``
-  as ``ray``.  A ray that fails the check and every other dead end (a
-  singular working set, a step that overflows or turns NaN, no
-  termination) leave by one exit, where HiGHS decides.  Every caller in
-  the package uses the loop.
-* ``project_brute_force`` enumerates index sets J with
-  ``rank(A_J^T) = |J|``, projects onto each candidate affine subspace
-  and keeps the candidate whose KKT certificate (primal feasibility +
-  nonnegative multipliers) checks out.  Exponential in the row count;
-  it is the oracle the tests hold the active-set route to.
+``project_polyhedron`` runs the dual active-set method of Goldfarb and
+Idnani (Math. Programming 27, 1983) for a unit Hessian once and keeps no
+warm-start state.  A working set W of independent rows is held at
+equality with multipliers ``lam >= 0`` at the point ``u - A_W^T lam``.
+The most violated row p enters by dual steps: its multiplier grows by t,
+``lam`` moves by ``-t r`` and the point by ``-t z``, where
+``a_p = A_W^T r + z`` splits a_p along the rows of A_W and across them
+(from a QR factorization of ``A_W^T``, so that near-parallel rows in W
+do not square its condition number).  A full step makes p tight and
+adds it; a step cut short where a working multiplier reaches zero drops
+that row and goes on with the same p, which is never dropped.  No
+feasible start is needed; the point is recomputed from the final working
+set.  The loop raises ``Infeasible`` or ``NoCertificate`` only.  A p in
+the span of A_W with no blocking row gives the dual ray ``y``
+(``y_W = -r``, ``y_p = 1``); it is checked as a Farkas certificate
+(``y >= 0``, ``A^T y = 0``, ``b^T y < 0``, each to ``RAY_TOL``) and,
+when it passes, proves the polyhedron empty and rides on the
+``Infeasible`` as ``ray``.  A ray that fails the check and every other
+dead end (a singular working set, a step that overflows or turns NaN, no
+termination) leave by one exit, where HiGHS decides.  Every caller in
+the package uses the loop; the tests hold it to a brute-force KKT
+enumeration kept apart from it.
 
 The loop is also the emptiness prover.  ``face_feasible_point`` decides
 a face ``{x in P : A_J x = b_J}`` by projecting the origin onto P with
@@ -57,20 +50,16 @@ that result is tried on every row still open.
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 from scipy.linalg import lapack
 from scipy.optimize import linprog
 
 from .errors import Infeasible, NoCertificate
-from .linalg import as_matrix, pseudo_inverse
+from .linalg import as_matrix
 
 #: Absolute feasibility / multiplier tolerance on unit-scaled data.
 KKT_TOL = 1e-8
-
-#: Certified candidates further apart than this indicate a tolerance failure.
-TIE_TOL = 1e-6
 
 #: Slack, times ``1 + max|b|``, within which a point lies in a polyhedron
 #: and on a face of it: ``face_feasible_point`` and the face walk.
@@ -351,51 +340,6 @@ class Projector:
                 X[i], active = _project_active_set(self.poly, U[i])
                 self._cache(active)
         return X
-
-
-def _candidate(poly, J, u):
-    """Affine projection of u onto {A_J x = b_J} plus its multipliers."""
-    AJ = poly.A[list(J)]
-    bJ = poly.b[list(J)]
-    Ad = pseudo_inverse(AJ)
-    x = u - Ad @ (AJ @ u - bJ)
-    lam = Ad.T @ (u - x)
-    return x, lam
-
-
-def project_brute_force(poly, u):
-    """The projection of ``u`` onto a nonempty polyhedron by enumeration of
-    its candidate active sets: the oracle ``project_polyhedron`` is tested
-    against.  Raises as ``project_polyhedron`` does."""
-    u = _as_point(poly, u)
-    m, n = poly.num_rows, poly.dim
-    scale = 1.0 + float(np.linalg.norm(u)) + float(np.abs(poly.b).max(initial=0.0))
-    certified = []
-    feasible_seen = False
-    for k in range(0, min(m, n) + 1):
-        for J in combinations(range(m), k):
-            AJ = poly.A[list(J)]
-            if k and np.linalg.matrix_rank(AJ.T, tol=1e-10 * max(1.0, np.abs(AJ).max())) < k:
-                continue
-            x, lam = _candidate(poly, J, u)
-            if poly.violation(x) > KKT_TOL * scale:
-                continue
-            feasible_seen = True
-            if k and lam.min(initial=0.0) < -KKT_TOL * scale:
-                continue
-            certified.append(x)
-    if not certified:
-        if feasible_seen:
-            raise NoCertificate("feasible candidates exist but none passed the "
-                                "multiplier check")
-        raise Infeasible("no candidate satisfies every inequality; "
-                         "the polyhedron is empty")
-    best = certified[0]
-    for cand in certified[1:]:
-        if np.linalg.norm(cand - best) > TIE_TOL * scale:
-            raise NoCertificate("two certified candidates disagree; "
-                                "projection should be unique")
-    return best
 
 
 def _project_active_set(poly, u):

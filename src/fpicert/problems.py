@@ -50,13 +50,14 @@ class ProblemInstance:
         return self.c.shape[0]
 
     def objective(self, x):
+        """The objective at one point, or at each row of a 2-D ``x``."""
         x = np.asarray(x, dtype=float)
-        val = float(self.c @ x)
+        val = x @ self.c
         if self.Q is not None:
-            val += 0.5 * float(x @ self.Q @ x)
+            val += 0.5 * ((x @ self.Q) * x).sum(axis=-1)
         if self.l1_weight is not None:
-            val += self.l1_weight * float(np.abs(x).sum())
-        return val
+            val += self.l1_weight * np.abs(x).sum(axis=-1)
+        return val if x.ndim == 2 else float(val)
 
 
 @dataclass(frozen=True)
@@ -275,17 +276,9 @@ def example_rotation_operator(theta):
     F = 0.5 * (np.eye(2) + N)
     return FixedPointOperator(
         dimension=2, alpha=0.5,
-        evaluate=lambda x: F @ x,
+        evaluate=lambda x: x @ F.T,
         provenance=Provenance("rotation_average", {"theta": theta}),
     )
-
-
-def example_operators():
-    """The analytic test operators over their parameter grids."""
-    ops = [example_contraction_operator(lam) for lam in (0.1, 0.3, 0.5, 0.9)]
-    ops += [example_rotation_operator(theta)
-            for theta in (np.pi / 6, np.pi / 3, np.pi / 2, 2 * np.pi / 3)]
-    return ops
 
 
 ALGORITHMS = ("gd", "prox", "gp", "pg", "dr", "pr", "admm")

@@ -20,7 +20,9 @@ weighted l1                 soft-thresholding at ``gamma*weight``
 box indicator               componentwise clamp to ``[lo, hi]``
 ==========================  =================================================
 
-``prox(f, gamma, x)`` is the one-shot form ``prox_map(f, gamma)(x)``.
+A prepared map takes one point, shape ``(n,)``, or a block of rows,
+shape ``(k, n)``, and maps each row.  ``prox(f, gamma, x)`` is the
+one-shot form ``prox_map(f, gamma)(x)``.
 """
 
 from dataclasses import dataclass, field
@@ -108,9 +110,11 @@ class ProxMap:
         return self.body if isinstance(self.body, Projector) else None
 
     def __call__(self, x):
+        """The map of one point, or of each row of a 2-D ``x``."""
         x = np.asarray(x, dtype=float)
-        if x.shape != (self.dimension,):
-            raise ValueError(f"point has shape {x.shape}, expected ({self.dimension},)")
+        if x.ndim not in (1, 2) or x.shape[-1] != self.dimension:
+            raise ValueError(f"point has shape {x.shape}, expected ({self.dimension},) "
+                             f"or (k, {self.dimension})")
         return self.body(x)
 
 
@@ -130,7 +134,7 @@ def prox_map(f, gamma):
         affine = (W, Wgc)
 
         def body(x):
-            return W @ x - Wgc
+            return x @ W.T - Wgc
     elif f.kind == POLYHEDRAL_INDICATOR:
         body = Projector(f.data["poly"])
     elif f.kind == L1:
@@ -149,40 +153,5 @@ def prox_map(f, gamma):
 
 
 def prox(f, gamma, x):
-    """Scaled proximal map at one point: ``prox_map(f, gamma)(x)``."""
+    """Scaled proximal map of one point or block: ``prox_map(f, gamma)(x)``."""
     return prox_map(f, gamma)(x)
-
-
-def reflect(f, gamma, x):
-    """Reflector ``2 prox(f, gamma, x) - x``; nonexpansive for every kind."""
-    return 2.0 * prox(f, gamma, x) - x
-
-
-def moreau_residual(f, f_conj, gamma, x):
-    """Norm of the Moreau-decomposition defect
-    ``prox(f, g, x) + g * prox(f*, 1/g, x/g) - x``.
-
-    ``f_conj`` is the caller-supplied Fenchel conjugate of ``f`` (conjugate
-    pairs are not derived symbolically); the residual is ~0 exactly when
-    the pairing is correct.
-    """
-    x = np.asarray(x, dtype=float)
-    u = prox(f, gamma, x)
-    v = prox(f_conj, 1.0 / gamma, x / gamma)
-    return float(np.linalg.norm(u + gamma * v - x))
-
-
-def conjugate_pair_examples(dim, rng):
-    """Three (f, f*) pairings used by the identity test suites:
-    weighted l1 <-> box, positive-definite quadratic <-> quadratic,
-    linear <-> singleton box."""
-    w = float(rng.uniform(0.5, 2.0))
-    pairs = [(l1(w, dim), box_indicator(-w * np.ones(dim), w * np.ones(dim)))]
-    G = rng.normal(size=(dim, dim))
-    Q = G @ G.T + 0.5 * np.eye(dim)
-    c = rng.normal(size=dim)
-    Qinv = np.linalg.inv(Q)
-    pairs.append((quadratic(Q, c), quadratic(Qinv, -Qinv @ c)))
-    c2 = rng.normal(size=dim)
-    pairs.append((linear(c2), box_indicator(c2, c2)))
-    return pairs

@@ -63,14 +63,6 @@ def rates_from_K(alpha, K):
                            rho_seq=rho_seq, rho_seq_relaxed=rho_seq_relaxed)
 
 
-def K_from_rho(rho):
-    """Error-bound constant implied by a distance contraction factor:
-    ``K = 1 / (1 - rho)``."""
-    if not 0.0 <= rho < 1.0:
-        raise RhoOutOfRange(f"rho = {rho} outside [0, 1)")
-    return 1.0 / (1.0 - rho)
-
-
 @dataclass(frozen=True)
 class SandwichCheck:
     """The four inequalities relating the tightest measured contraction

@@ -300,7 +300,7 @@ def verify_splitting(instance, gamma=None, alpha=0.5, seed=0,
     direction /= np.linalg.norm(direction)
     trace = engine.iterate(op, fixset.representative + 30.0 * direction,
                            residual_tol=1e-10, max_iters=MAX_ITERS)
-    trace.dist_to_fix = fixset.distances(trace.iterates)
+    trace.dist_to_fix = fixset.distance(trace.iterates)
     er = engine.estimate_rates(op, fixset,
                                R=1e-3 * (1.0 + np.linalg.norm(trace.limit)),
                                samples=200, seed=seed)

@@ -24,10 +24,10 @@ from fpicert.linalg import (condition_number_plus, lambda_max_psd,
                             pseudo_inverse)
 from fpicert.operators import (make_admm_xy_split, make_dr,
                                make_proximal_gradient, make_proximal_point)
-from fpicert.polyhedra import (Polyhedron, is_empty, project_brute_force,
-                               project_polyhedron)
-from fpicert.prox import conjugate_pair_examples, l1, moreau_residual, quadratic
-from oracles import run_admm_direct
+from fpicert.polyhedra import Polyhedron, is_empty, project_polyhedron
+from fpicert.prox import l1, quadratic
+from oracles import (conjugate_pair_examples, moreau_residual,
+                     project_brute_force, run_admm_direct)
 
 LAM_GRID = (0.1, 0.3, 0.5, 0.9)
 THETA_GRID = (np.pi / 6, np.pi / 3, np.pi / 2, 2 * np.pi / 3)
@@ -101,7 +101,7 @@ def _lp_case(seed, n, m):
     direction /= np.linalg.norm(direction)
     trace = engine.iterate(op, fixset.representative + 30 * direction,
                            residual_tol=1e-10)
-    trace.dist_to_fix = fixset.distances(trace.iterates)
+    trace.dist_to_fix = fixset.distance(trace.iterates)
     er = engine.estimate_rates(
         op, fixset, R=1e-3 * (1.0 + np.linalg.norm(trace.limit)),
         samples=200, seed=seed)
@@ -138,7 +138,7 @@ def _qp_case(seed, n, m, rank_q):
     direction /= np.linalg.norm(direction)
     trace = engine.iterate(op, fixset.representative + 20 * direction,
                            residual_tol=1e-10)
-    trace.dist_to_fix = fixset.distances(trace.iterates)
+    trace.dist_to_fix = fixset.distance(trace.iterates)
     fit, fit_mode = verify.terminal_contraction(trace)
     worst_piece = max(p.hoffman_bound for p in fixset.pieces)
     null_res = verify._null_inclusion_residual(inst, fixset)
@@ -354,7 +354,7 @@ def test_criterion_8_direct_dual_equivalence():
         rho = float(rng.uniform(0.3, 2.5))
         op, _ = make_admm_xy_split(f, g, rho)
         w0 = rng.standard_normal(dim)
-        trace = run_admm_direct(f, g, rho, w0=w0, iters=100)
+        trace, _, _ = run_admm_direct(f, g, rho, w0=w0, iters=100)
         w = w0.copy()
         for k in range(101):
             worst = max(worst,

@@ -16,8 +16,8 @@ from fpicert.linalg import (condition_number_plus, lambda_max_psd,
 from fpicert.prox import linear, prox_map, quadratic
 from fpicert.operators import dr_piece, make_dr
 from fpicert.polyhedra import (KKT_TOL, Face, Polyhedron, affine_rows,
-                               intersect, project_brute_force,
-                               project_polyhedron, whole_space)
+                               intersect, project_polyhedron, whole_space)
+from oracles import project_brute_force
 
 # canonical one-dimensional instance: min x over x >= 0, optimum 0;
 # the splitting operator's fixed point is w = -gamma
@@ -657,7 +657,7 @@ def test_distances_match_the_union_of_pieces_on_acceptance_problems():
         d = rng.standard_normal((len(radii), inst.dim))
         xs = fs.representative + radii * d / np.linalg.norm(d, axis=1)[:, None]
         reference = [_union_scan_distance(fs, x) for x in xs]
-        assert np.abs(fs.distances(xs) - reference).max() <= KKT_TOL, inst.name
+        assert np.abs(fs.distance(xs) - reference).max() <= KKT_TOL, inst.name
 
 
 def test_fixed_set_polyhedron_holds_the_witnesses_and_projects_exactly():

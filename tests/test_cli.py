@@ -30,6 +30,23 @@ def test_solve_converges_and_extracts_optimum(tiny_lp, tmp_path, capsys):
     assert header == "iter,residual,dist_to_fix,objective"
 
 
+def test_solve_writes_the_objective_of_every_row_of_a_long_trace(tmp_path):
+    # qp-n3-m6-r2-s106 stalls, so 25,000 DR steps leave 25,001 rows; the
+    # whole trace is extracted and its objective evaluated as one block
+    inst, _ = problems.generate_qp(3, 6, 2, 106)
+    path = tmp_path / "s106.txt"
+    problems.save(inst, path)
+    out = str(tmp_path / "trace.csv")
+    rc = cli.main(["solve", str(path), "--algorithm", "dr", "--max-iters", "25000",
+                   "--out", out])
+    assert rc == cli.EXIT_MAX_ITERS
+    rows = [line.split(",") for line in Path(out).read_text().splitlines()[1:]]
+    assert len(rows) == 25_001
+    assert all(row[3] for row in rows)
+    meta = json.loads(Path(out + ".meta.json").read_text())
+    assert float(rows[-1][3]) == pytest.approx(meta["objective"], rel=1e-12)
+
+
 @pytest.mark.parametrize("algorithm, params", [
     ("gp", {"lambda": 0.1}),
     ("admm", {"rho": 2.0}),

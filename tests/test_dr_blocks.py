@@ -296,7 +296,7 @@ def test_rows_take_one_step_from_each_row(name):
     U = x0 + np.random.default_rng(1).standard_normal((40, len(x0)))
     one, _ = make_dr(*problems.split_functions(inst), gamma, 0.5)
     expected = np.array([one.evaluate(u) for u in U])
-    got = op.evaluate.rows(U)
+    got = op.evaluate(U)
     assert np.abs(got - expected).max() <= 1e-12 * (1.0 + np.abs(U).max())
     project = op.evaluate.prox_f.projector
     assert project.hits + project.misses == len(U)

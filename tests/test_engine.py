@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -113,8 +115,10 @@ def _estimate_rates_loop(F, fixset, R, samples, seed):
 
 def test_batched_estimate_rates_matches_the_loop(monkeypatch):
     # an LP with a nine-piece fixed set (some distances fall back to a
-    # projection) and a QP; the batched and scalar distances agree to
-    # roundoff, far inside the projection slack KKT_TOL = 1e-8
+    # projection) and a QP; the block and one-row distances agree to
+    # roundoff, far inside the projection slack KKT_TOL = 1e-8.  The
+    # samples take one distance call, one step and one distance call,
+    # each on the whole block
     cases = []
     for inst, _ in (problems.generate_lp(3, 6, 0), problems.generate_qp(3, 6, 2, 4)):
         gamma = 1.0 if inst.Q is None else 0.5 / np.linalg.eigvalsh(inst.Q).max()
@@ -125,20 +129,30 @@ def test_batched_estimate_rates_matches_the_loop(monkeypatch):
         else:
             pieces = analysis.enumerate_pieces_qp(inst.X, inst.Q, inst.c, gamma, 0.5)
         cases.append((op, analysis.fixed_point_set(pieces)))
-    batched = analysis.FixedPointSetDescription.distances
-    calls = []
+    distance = analysis.FixedPointSetDescription.distance
+    calls, steps = [], []
 
-    def counting(self, xs):
-        calls.append(len(xs))
-        return batched(self, xs)
+    def counting(self, x):
+        calls.append(np.shape(x))
+        return distance(self, x)
 
-    monkeypatch.setattr(analysis.FixedPointSetDescription, "distances", counting)
+    monkeypatch.setattr(analysis.FixedPointSetDescription, "distance", counting)
     for op, fs in cases:
+        n = op.dimension
+
+        def counting_step(x, step=op.evaluate):
+            steps.append(np.shape(x))
+            return step(x)
+
+        stepped = dataclasses.replace(op, evaluate=counting_step)
         for R in (1e-3, 1.0):
             calls.clear()
-            er = engine.estimate_rates(op, fs, R=R, samples=200, seed=5)
+            steps.clear()
+            er = engine.estimate_rates(stepped, fs, R=R, samples=200, seed=5)
+            block_calls = list(calls)
             rho, k, used = _estimate_rates_loop(op, fs, R, 200, 5)
-            assert calls == [200, used] and er.sample_count == used
+            assert block_calls == [(200, n), (used, n)] and steps == [(used, n)]
+            assert er.sample_count == used
             assert er.k_tilde == pytest.approx(k, rel=1e-8)
             assert er.rho_tilde == pytest.approx(rho, abs=1e-8)
 
@@ -154,7 +168,7 @@ def test_estimate_rates_rejects_samples_all_on_the_fixed_set():
     class OnTheSet:
         representative = np.zeros(2)
 
-        def distances(self, xs):
+        def distance(self, xs):
             return np.zeros(len(xs))
 
     op = problems.example_rotation_operator(np.pi / 2)
@@ -249,9 +263,9 @@ def test_terminal_contraction_counts_a_roundoff_residual_as_finite_convergence()
 
 def test_block_steps_and_distances_leave_few_cold_projections():
     # estimate_rates on the 20 acceptance LPs, 4,000 samples: the DR step
-    # projects its samples onto X in one block, and the distances project
-    # their unsettled rows onto Fix in one block per chunk, so a cold face
-    # serves every open row.  One sample at a time, 984 projections onto
+    # projects its samples onto X in one block, and each distance call
+    # projects all its unsettled rows onto Fix in one block, so a cold
+    # face serves every open row.  One sample at a time, 984 projections onto
     # X and 688 onto Fix were cold.  Active sets at degenerate points
     # depend on roundoff, hence a bound, not a count.
     misses = {"X": 0, "Fix": 0}
@@ -269,3 +283,18 @@ def test_block_steps_and_distances_leave_few_cold_projections():
         samples += 200
     for k in misses:
         assert misses[k] <= 0.1 * samples, (k, misses[k])
+
+
+@pytest.mark.parametrize("n, m, seed", [(5, 10, 8), (6, 12, 14)])
+def test_many_zero_sets_leave_few_cold_fix_projections(n, m, seed):
+    # lp-n5-m10-s8 and lp-n6-m12-s14 have 103 and 345 zero sets, so the
+    # zero-set test runs in chunks of about 33 and 12 rows.  Every row it
+    # leaves open goes to Fix in one block, so a cold face serves them
+    # all; one projection per chunk would take 61 and 60 cold projections
+    inst, _ = problems.generate_lp(n, m, seed)
+    fs = verify.certify(inst, 1.0, 0.5)[1]
+    op, _ = make_dr(*problems.split_functions(inst), 1.0, 0.5)
+    before = fs.projector.misses
+    engine.estimate_rates(op, fs, R=1e-3 * (1.0 + np.linalg.norm(fs.representative)),
+                          samples=200, seed=0)
+    assert fs.projector.misses - before <= 25

@@ -251,7 +251,7 @@ def test_admm_direct_matches_operator_on_lp():
     rho = 0.6
     op, _ = make_admm_xy_split(f, g, rho)
     w0 = rng.standard_normal(3)
-    trace = run_admm_direct(f, g, rho, w0=w0, iters=60)
+    trace, _, _ = run_admm_direct(f, g, rho, w0=w0, iters=60)
     w = w0.copy()
     for k in range(61):
         assert np.linalg.norm(trace.iterates[k] - w) <= 1e-8
@@ -265,8 +265,8 @@ def test_admm_direct_arbitrary_start_syncs_after_one_step():
     rho = 2.0
     op, _ = make_admm_xy_split(f, g, rho)
     w0 = rng.standard_normal(2)
-    trace = run_admm_direct(f, g, rho, y0=rng.standard_normal(2), w0=w0,
-                            iters=40)
+    trace, _, _ = run_admm_direct(f, g, rho, y0=rng.standard_normal(2), w0=w0,
+                                  iters=40)
     w = trace.iterates[1].copy()
     for k in range(1, 41):
         assert np.linalg.norm(trace.iterates[k] - w) <= 1e-9
@@ -276,9 +276,9 @@ def test_admm_direct_arbitrary_start_syncs_after_one_step():
 def test_admm_direct_identity_quadratics_converge_to_zero():
     f = quadratic(np.eye(2), np.zeros(2))
     g = quadratic(np.eye(2), np.zeros(2))
-    trace = run_admm_direct(f, g, 1.3, w0=np.array([4.0, -2.0]), iters=300)
-    assert np.linalg.norm(trace.aux["x"][-1]) <= 1e-10
-    assert np.linalg.norm(trace.aux["y"][-1]) <= 1e-10
+    _, xs, ys = run_admm_direct(f, g, 1.3, w0=np.array([4.0, -2.0]), iters=300)
+    assert np.linalg.norm(xs[-1]) <= 1e-10
+    assert np.linalg.norm(ys[-1]) <= 1e-10
 
 
 def test_admm_direct_primal_residual_vanishes():
@@ -288,9 +288,9 @@ def test_admm_direct_primal_residual_vanishes():
         G = rng.standard_normal((dim, dim))
         f = quadratic(G @ G.T + 0.3 * np.eye(dim), rng.standard_normal(dim))
         g = l1(float(rng.uniform(0.1, 1.0)), dim)
-        trace = run_admm_direct(f, g, float(rng.uniform(0.4, 2.0)),
-                                w0=rng.standard_normal(dim), iters=400)
-        assert np.linalg.norm(trace.aux["x"][-1] - trace.aux["y"][-1]) <= 1e-8
+        _, xs, ys = run_admm_direct(f, g, float(rng.uniform(0.4, 2.0)),
+                                    w0=rng.standard_normal(dim), iters=400)
+        assert np.linalg.norm(xs[-1] - ys[-1]) <= 1e-8
 
 
 def _averaged_operator_pool(rng):
@@ -369,3 +369,49 @@ def test_extraction_shares_the_steps_projector(algorithm, monkeypatch):
     assert built[0].misses == misses
     if algorithm != "pr":
         assert problems.kkt_residual(inst, xhat) <= 1e-6
+
+
+def _block_cases():
+    """``build`` for every operator ``operator_for`` builds and the two
+    example operators, each a test parameter with its name as id;
+    ``build()`` returns a fresh operator."""
+    lp, _ = problems.generate_lp(3, 6, 2)
+    qp, _ = problems.generate_qp(3, 6, 2, 102)
+    rng = np.random.default_rng(7)
+    G = rng.standard_normal((3, 3))
+    Q = G @ G.T + 0.5 * np.eye(3)
+    smooth = problems.ProblemInstance(kind="lasso", c=rng.standard_normal(3), Q=Q,
+                                      l1_weight=0.0)
+    lasso = problems.ProblemInstance(kind="lasso", c=rng.standard_normal(3), Q=Q,
+                                     l1_weight=0.3)
+    quad = problems.ProblemInstance(kind="prox_demo", c=rng.standard_normal(3), Q=Q)
+    l1_demo = problems.ProblemInstance(kind="prox_demo", c=np.zeros(3), l1_weight=0.4)
+    lam = 0.5 / np.linalg.eigvalsh(Q).max()
+    cases = [(f"{alg}-{inst.kind}", inst, alg, {})
+             for inst in (lp, qp) for alg in ("dr", "pr", "admm", "gp", "pg")]
+    cases += [("gd-lasso", smooth, "gd", {"lam": lam}),
+              ("pg-lasso", lasso, "pg", {"lam": lam}),
+              ("admm-lasso", lasso, "admm", {}),
+              ("prox-quadratic", quad, "prox", {}),
+              ("prox-l1", l1_demo, "prox", {})]
+    builds = [pytest.param(lambda inst=inst, alg=alg, kw=kw:
+                           problems.operator_for(inst, alg, **kw)[0], id=name)
+              for name, inst, alg, kw in cases]
+    builds += [pytest.param(lambda: problems.example_contraction_operator(0.3),
+                            id="contraction"),
+               pytest.param(lambda: problems.example_rotation_operator(np.pi / 3),
+                            id="rotation")]
+    return builds
+
+
+@pytest.mark.parametrize("build", _block_cases())
+def test_evaluate_maps_each_row_of_a_block(build):
+    # one calling convention: a block of rows maps as its rows one by one
+    op = build()
+    U = 3.0 * np.random.default_rng(8).standard_normal((40, op.dimension))
+    one = build()
+    expected = np.array([one.evaluate(u) for u in U])
+    got = op.evaluate(U)
+    assert got.shape == U.shape
+    scale = 1.0 + np.linalg.norm(U, axis=1)
+    assert (np.linalg.norm(got - expected, axis=1) <= 1e-12 * scale).all()

@@ -5,9 +5,9 @@ from fpicert import engine, problems
 from fpicert.errors import ParseError, ValidationError
 from fpicert.linalg import condition_number_plus
 from fpicert.operators import make_dr
-from fpicert.problems import (ProblemInstance, example_operators, generate_lp,
-                              generate_qp, kkt_residual, load, operator_for,
-                              save, serialize)
+from fpicert.problems import (ProblemInstance, generate_lp, generate_qp,
+                              kkt_residual, load, operator_for, save, serialize)
+from oracles import example_operators
 
 TINY_LP = "A: -1\nb: 0\nc: 1\nkind: lp\nm: 1\nn: 1\n"
 

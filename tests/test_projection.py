@@ -8,9 +8,9 @@ from fpicert.errors import Infeasible
 from fpicert.polyhedra import (KKT_TOL, Face, Polyhedron, Projector,
                                affine_rows, face_feasible_point,
                                find_feasible_point, intersect, is_empty,
-                               project_brute_force, project_polyhedron,
-                               whole_space)
+                               project_polyhedron, whole_space)
 from fpicert.problems import generate_lp, generate_qp
+from oracles import project_brute_force
 
 
 def _random_nonempty(rng, n, m):

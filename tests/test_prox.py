@@ -4,9 +4,9 @@ from scipy.optimize import minimize
 
 from fpicert import prox as fn
 from fpicert.polyhedra import Polyhedron
-from fpicert.prox import (box_indicator, conjugate_pair_examples, l1, linear,
-                          moreau_residual, polyhedral_indicator, prox,
-                          prox_map, quadratic, reflect)
+from fpicert.prox import (box_indicator, l1, linear, polyhedral_indicator,
+                          prox, prox_map, quadratic)
+from oracles import conjugate_pair_examples, moreau_residual, reflect
 
 
 def test_prox_linear_shifts_by_gamma_c():

@@ -1,6 +1,7 @@
 """Batched computations over recorded traces against their one-row
-references: ``FixedPointSetDescription.distances`` against ``distance``,
-and ``verify.per_step_contraction_checks`` against a plain loop.
+references: ``FixedPointSetDescription.distance`` of a block against the
+same method row by row, and ``verify.per_step_contraction_checks``
+against a plain loop.
 
 The traces are the acceptance QPs s106 and s117 as ``verify`` runs them
 (gamma*lambda_max = 1/2, alpha = 1/2, started 30 away); s106 stalls, so
@@ -27,7 +28,7 @@ def _record(n, m, rank_q, seed, max_iters):
     direction /= np.linalg.norm(direction)
     trace = engine.iterate(op, fixset.representative + 30.0 * direction,
                            residual_tol=1e-10, max_iters=max_iters)
-    trace.dist_to_fix = fixset.distances(trace.iterates)
+    trace.dist_to_fix = fixset.distance(trace.iterates)
     return trace, fixset, analysis.error_bound_constant(pieces, fixset)
 
 
@@ -37,48 +38,49 @@ def traces():
             "s117": _record(4, 8, 3, 117, 200_000)}
 
 
-@pytest.fixture
-def scalar_calls(monkeypatch):
-    """Rows that ``distances`` sent to the scalar ``distance``."""
-    calls = []
-    scalar = analysis.FixedPointSetDescription.distance
-
-    def counting(self, x):
-        calls.append(1)
-        return scalar(self, x)
-
-    monkeypatch.setattr(analysis.FixedPointSetDescription, "distance", counting)
-    return calls
-
-
 def _one_by_one(fixset, xs):
     return np.array([fixset.distance(x) for x in xs])
 
 
 def test_batched_distances_match_scalar_on_traces(traces):
     for trace, fixset, _ in traces.values():
-        batched = fixset.distances(trace.iterates)
+        batched = fixset.distance(trace.iterates)
         assert np.abs(batched - _one_by_one(fixset, trace.iterates)).max() <= 1e-12
         assert np.array_equal(batched, trace.dist_to_fix)
 
 
-def test_batched_distances_fall_back_off_the_affine_hits(scalar_calls):
+def _projected_rows(fixset):
+    """Row counts of the blocks ``distance`` projects onto the set."""
+    calls = []
+    project = fixset.projector
+
+    def counting(U):
+        calls.append(len(U))
+        return project(U)
+
+    vars(fixset)["projector"] = counting
+    return calls
+
+
+def test_batched_distances_fall_back_off_the_affine_hits():
     # a point set, where every row is an affine hit, and an LP whose
-    # fixed set has nine pieces, where some rows miss
+    # fixed set has nine pieces, where some rows miss: the rows the
+    # zero-set test leaves open go to the projection as one block
     rng = np.random.default_rng(0)
     point = analysis.point_fixed_set(rng.standard_normal(3))
     xs = point.representative + rng.standard_normal((300, 3))
-    batched = point.distances(xs)
-    assert not scalar_calls
+    projected = _projected_rows(point)
+    batched = point.distance(xs)
+    assert projected == [0]
     assert np.abs(batched - _one_by_one(point, xs)).max() <= 1e-12
     inst, _ = problems.generate_lp(3, 6, 0)
     pieces = analysis.enumerate_pieces_lp(inst.X, inst.c, 1.0, 0.5)
     fixset = analysis.fixed_point_set(pieces)
     assert len(fixset.pieces) > 1
     xs = fixset.representative + rng.standard_normal((300, 3))
-    scalar_calls.clear()
-    batched = fixset.distances(xs)
-    assert 0 < len(scalar_calls) < len(xs)
+    projected = _projected_rows(fixset)
+    batched = fixset.distance(xs)
+    assert len(projected) == 1 and 0 < projected[0] < len(xs)
     assert np.abs(batched - _one_by_one(fixset, xs)).max() <= 1e-12
 
 
@@ -92,7 +94,7 @@ def test_fallback_projections_are_warm_and_exact():
         analysis.enumerate_pieces_lp(inst.X, inst.c, 1.0, 0.5))
     xs = fixset.representative + rng.standard_normal((300, 3))
     cold = [np.linalg.norm(x - project_polyhedron(fixset.poly, x)) for x in xs]
-    assert np.abs(fixset.distances(xs) - cold).max() <= 1e-12
+    assert np.abs(fixset.distance(xs) - cold).max() <= 1e-12
     assert "projector" in vars(fixset) and fixset.projector.hits > 0
 
 
