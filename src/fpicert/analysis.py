@@ -10,9 +10,9 @@ The residual map ``x - F(x)`` of the Douglas-Rachford operator on
 
 indexed by the active sets J with independent rows and nonempty face.
 One enumeration body walks those faces (desk scale: the row count is
-capped) and builds their pieces in stacks of faces of one size: the
-face arrays from ``polyhedra.Face.stack``, the piece from
-``operators.dr_piece``, one ``spectral_summary`` per stack.  The
+capped), factoring each size's candidates once with ``Face.stack``, and
+builds their pieces from those arrays in stacks of one size, with
+``operators.dr_piece`` and one ``spectral_summary`` per stack.  The
 iterated DR step takes its face from ``Face.of`` and its map from
 ``dr_piece``, both on a stack of one, so its bits are the pieces'.
 ``enumerate_pieces_lp`` and ``enumerate_pieces_qp`` only supply the
@@ -24,7 +24,7 @@ row of a 2-D block.
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations, groupby
+from itertools import combinations
 
 import numpy as np
 
@@ -113,55 +113,49 @@ class ActiveSetPiece:
         """Region membership of one point or of each row of a 2-D ``x``
         (``_in_region``)."""
         face = self.face
-        return _in_region(self.source, face.A, face.mult, face.mult_rhs,
+        return _in_region(self.source, face.Q, face.mult, face.mult_rhs, face.offset,
                           np.asarray(x, dtype=float), tol)
 
 
-def _in_region(X, A, mult, mult_rhs, x, tol):
-    """Region membership of points ``x`` on faces of ``X`` held as the
-    ``Face`` arrays ``A``, ``mult``, ``mult_rhs``: the face multipliers
-    ``>= -tol * scale`` and the face projection in ``X`` within the same
-    slack, ``scale = 1 + ||x||``.  One face takes one point or one per
-    row of ``x``; a stack of faces takes one point per face."""
+def _in_region(X, Q, mult, mult_rhs, offset, x, tol):
+    """Region membership of points ``x`` on faces of ``X`` held as
+    ``Face`` arrays: the face multipliers ``>= -tol * scale`` and the
+    face projection in ``X`` within the same slack, ``scale = 1 +
+    ||x||``.  One face takes one point or one per row of ``x``; a stack
+    of faces takes one point per face."""
     slack = tol * (1.0 + np.sqrt(np.square(x).sum(axis=-1)))
     lam = (mult @ x[..., None])[..., 0] - mult_rhs
-    points = x - (np.swapaxes(A, -1, -2) @ lam[..., None])[..., 0]
+    points = x - (Q @ (np.swapaxes(Q, -1, -2) @ x[..., None]))[..., 0] + offset
     return X.contains(points, slack) & (lam.min(axis=-1, initial=np.inf) >= -slack)
 
 
 def _basic_points(X, slack):
-    """The basic points ``pinv(A_J) b_J`` over the row sets J of size
-    ``rank(A)`` that lie in X within ``slack``, as rows.
+    """The basic points ``pinv(A_J) b_J`` over the independent row sets J
+    of size ``rank(A)`` that lie in X within ``slack``, as rows.
 
     Each minimal face of X is ``{A_I x = b_I}`` with ``rank(A_I) =
     rank(A)``, so it holds the basic point of every independent
     ``rank(A)``-subset of I; every nonempty face contains a minimal face.
-    The sets are solved in stacks of ``BASIS_CHUNK`` through the Gram
-    system ``A_J A_J^T y = b_J``, ``x = A_J^T y``; a singular system is
-    skipped.  A point is kept only for being feasible, however it was
-    computed, so a skipped or inexact basis costs a call of
-    ``face_feasible_point`` later, never a wrong face.
+    ``rank(A)`` is the largest size with an independent set, and a basic
+    point is the ``offset`` of its face, both from ``Face.stack`` in
+    stacks of ``BASIS_CHUNK``.  A point is kept only for lying in X
+    within ``slack``, so an inexact basis costs a call of
+    ``face_feasible_point`` later or hits a face only within that slack.
     """
     m, n = X.num_rows, X.dim
-    rank = int(np.linalg.matrix_rank(X.A)) if m else 0
-    if rank == 0:
-        return np.zeros((0, n))
-    sets = np.array(list(combinations(range(m), rank)), dtype=np.intp)
-    points = []
-    for start in range(0, len(sets), BASIS_CHUNK):
-        AJ = X.A[sets[start:start + BASIS_CHUNK]]
-        bJ = X.b[sets[start:start + BASIS_CHUNK]]
-        gram = AJ @ AJ.transpose(0, 2, 1)
-        solvable = np.linalg.det(gram) != 0.0
-        y = np.linalg.solve(gram[solvable], bJ[solvable, :, None])
-        P = (AJ[solvable].transpose(0, 2, 1) @ y)[..., 0]
-        points.append(P[X.contains(P, slack)])
-    return np.concatenate(points)
+    for k in range(min(m, n), 0, -1):
+        sets = np.array(list(combinations(range(m), k)), dtype=np.intp)
+        points = np.concatenate([Face.stack(X, sets[start:start + BASIS_CHUNK])[1][-1]
+                                 for start in range(0, len(sets), BASIS_CHUNK)])
+        if len(points):  # one offset per independent set
+            return points[X.contains(points, slack)]
+    return np.zeros((0, n))
 
 
 def _enumerate_faces(X):
-    """Active sets J with rank(A_J^T) = |J| and a nonempty face X_J, in
-    order of size, then lexicographically.
+    """The nonempty faces X_J with independent rows J, one ``(sets,
+    arrays)`` per size from the empty face up: the active sets as rows
+    of ``sets``, in order, and their stacked ``Face.stack`` arrays.
 
     A face is certified nonempty by a stored point of X that hits it:
     the point lies in X and ``|A_J x - b_J|`` is within
@@ -179,8 +173,9 @@ def _enumerate_faces(X):
     The walk goes level by level: the candidates of size k are the sets
     whose every (k-1)-subset is a face, since a set with an empty subset
     is empty and one with a dependent subset is dependent.  A level
-    needs one stacked rank test, and its hit test reads a table over all
-    ``2^m`` row sets that marks each subset of some point's tight rows.
+    needs one ``Face.stack``, for independence and the arrays, and its
+    hit test reads a table over all ``2^m`` row sets that marks each
+    subset of some point's tight rows.
     """
     m, n = X.num_rows, X.dim
     if m > MAX_ENUM_ROWS:
@@ -209,8 +204,8 @@ def _enumerate_faces(X):
 
     is_face = np.zeros(1 << m, dtype=bool)
     is_face[0] = True
-    faces = [()]
     level = np.zeros((1, 0), dtype=np.intp)   # faces of size k-1, in order
+    levels = [(level, Face.stack(X, level)[1])]
     for k in range(1, min(m, n) + 1):
         # extend each face by a later row: candidates come out in order
         last = level[:, -1] if k > 1 else np.full(len(level), -1)
@@ -222,9 +217,7 @@ def _enumerate_faces(X):
         cand, masks = cand[whole], masks[whole]
         if not len(cand):
             break
-        AJT = X.A[cand].transpose(0, 2, 1)
-        tol = 1e-10 * np.maximum(1.0, np.abs(AJT).max(axis=(1, 2)))
-        independent = np.linalg.matrix_rank(AJT, tol=tol) == k
+        independent, arrays = Face.stack(X, cand)
         cand, masks = cand[independent], masks[independent]
         nonempty = hit[masks]
         for i in np.flatnonzero(~nonempty):
@@ -238,8 +231,8 @@ def _enumerate_faces(X):
                     hit[(row_sets & tight_masks(w)) == row_sets] = True
         level = cand[nonempty]
         is_face[masks[nonempty]] = True
-        faces.extend(map(tuple, level.tolist()))
-    return faces
+        levels.append((level, tuple(a[nonempty] for a in arrays)))
+    return levels
 
 
 def _enumerate_pieces(X, W, h, alpha):
@@ -247,29 +240,28 @@ def _enumerate_pieces(X, W, h, alpha):
     on that face, with ``prox_g(x) = W x - h``, built by ``_piece_stack``
     on the faces of each size in stacks of at most ``BASIS_CHUNK``."""
     pieces = []
-    for k, level in groupby(_enumerate_faces(X), len):
-        level = list(level)
-        sets = np.array(level, dtype=np.intp).reshape(len(level), k)
+    for sets, arrays in _enumerate_faces(X):
         for start in range(0, len(sets), BASIS_CHUNK):
-            pieces += _piece_stack(X, W, h, alpha, sets[start:start + BASIS_CHUNK])
+            chunk = slice(start, start + BASIS_CHUNK)
+            pieces += _piece_stack(X, W, h, alpha, sets[chunk], [a[chunk] for a in arrays])
     return pieces
 
 
-def _piece_stack(X, W, h, alpha, sets):
+def _piece_stack(X, W, h, alpha, sets, faces):
     """The pieces of the faces with the active sets in the rows of
-    ``sets``: one ``Face.stack``, one ``dr_piece`` and one
-    ``spectral_summary`` for all of them.  The faces' projectors ``D``
-    and the SVD's ``U``, which serves the least-norm zeros only, go with
-    the stack."""
-    A, mult, mult_rhs, offset = faces = Face.stack(X, sets)
-    M, v = dr_piece(W, h, alpha, Face.projectors(A, mult), offset)
+    ``sets`` and the walk's stacked ``Face.stack`` arrays ``faces``: one
+    ``dr_piece`` and one ``spectral_summary`` for all of them.  The
+    projectors ``D = Q Q^T`` and the SVD's ``U``, which serves the
+    least-norm zeros only, go with the stack."""
+    Q, mult, mult_rhs, offset = faces
+    M, v = dr_piece(W, h, alpha, Q @ Q.transpose(0, 2, 1), offset)
     svd = spectral_summary(M)
     sigma = svd.sigma_min_plus
     zero = svd.least_norm_solution(v)
     residual = (M @ zero[..., None])[..., 0] - v
     solvable = (np.linalg.norm(residual, axis=1)
                 <= ZERO_CERT_TOL * (1.0 + np.linalg.norm(v, axis=1)))
-    inside = solvable & _in_region(X, A, mult, mult_rhs, zero, ZERO_CERT_TOL)
+    inside = solvable & _in_region(X, *faces, zero, ZERO_CERT_TOL)
     hoffman = np.divide(1.0, sigma, out=np.zeros_like(sigma), where=sigma != 0.0)
     return [ActiveSetPiece(face=Face(J, *arrays), M=Mi, v=vi, hoffman_bound=bound,
                            sigma_min_plus=s, rank=r, zero=x0 if ok else None,

@@ -15,15 +15,16 @@ The most violated row p enters by dual steps: its multiplier grows by t,
 do not square its condition number).  A full step makes p tight and
 adds it; a step cut short where a working multiplier reaches zero drops
 that row and goes on with the same p, which is never dropped.  No
-feasible start is needed; the point is recomputed from the final working
-set.  The loop raises ``Infeasible`` or ``NoCertificate`` only.  A p in
-the span of A_W with no blocking row gives the dual ray ``y``
-(``y_W = -r``, ``y_p = 1``); it is checked as a Farkas certificate
-(``y >= 0``, ``A^T y = 0``, ``b^T y < 0``, each to ``RAY_TOL``) and,
-when it passes, proves the polyhedron empty and rides on the
-``Infeasible`` as ``ray``.  A ray that fails the check and every other
-dead end (a singular working set, a step that overflows or turns NaN, no
-termination) leave by one exit, where HiGHS decides.  Every caller in
+feasible start is needed; the point and multipliers are recomputed
+from a QR factorization of the final working set.  The loop raises
+``Infeasible`` or ``NoCertificate`` only.  A p in the span of A_W with
+no blocking row gives the dual ray ``y`` (``y_W = -r``, ``y_p = 1``);
+it is checked as a Farkas certificate (``y >= 0``, ``A^T y = 0``,
+``b^T y < 0``, each to ``RAY_TOL``) and, when it passes, proves the
+polyhedron empty and rides on the ``Infeasible`` as ``ray``.  A ray
+that fails the check and every other dead end (a singular working set,
+a step that overflows or turns NaN, no termination) leave by one exit,
+where HiGHS decides.  Every caller in
 the package uses the loop; the tests hold it to a brute-force KKT
 enumeration kept apart from it.
 
@@ -34,10 +35,13 @@ point is returned only if it lies in P and on the face within
 ``face_slack``.  HiGHS (``_feasibility_lp``) is the fallback for
 everything else, and ``is_empty`` asks it directly.
 
-A :class:`Face` is the one place a face's Gram inverse, multipliers and
-affine projection are formed: ``Face.stack`` forms them for a stack of
-faces, and ``Face.of`` is that kernel on a stack of one.  The piece
-enumeration of the analysis layer builds its faces in stacks and the
+A :class:`Face` is the one factorization of a row set: ``Face.stack``
+takes one batched QR ``A_J^T = Q R`` of a stack of row sets, decides
+with one rule on ``|R_ii|`` which of them are independent, and forms
+the projector, multipliers and affine projection of those from the same
+factors; ``Face.of`` is that kernel on a stack of one.  The face walk of
+the analysis layer factors its candidate faces in stacks and hands the
+arrays of the faces it keeps to the piece build, and the
 :class:`Projector` holds one face at a time.  A ``Projector`` tries
 the face of the last certified active set first and accepts the result
 only if it is feasible within the cold loop's slack and its multipliers
@@ -56,7 +60,7 @@ from scipy.linalg import lapack
 from scipy.optimize import linprog
 
 from .errors import Infeasible, NoCertificate
-from .linalg import as_matrix
+from .linalg import DEFAULT_RANK_TOL, as_matrix
 
 #: Absolute feasibility / multiplier tolerance on unit-scaled data.
 KKT_TOL = 1e-8
@@ -191,60 +195,59 @@ def project_polyhedron(poly, u):
 
 @dataclass(frozen=True)
 class Face:
-    """The face ``{x : A_J x = b_J}`` of a polyhedron, for rows J with
-    ``rank(A_J) = |J|``, and its affine projection
+    """The face ``{x : A_J x = b_J}`` of a polyhedron, for rows J that
+    ``stack`` calls independent, held through the QR ``A_J^T = Q R`` as
+    ``Q``, ``mult = R^-1 Q^T``, ``mult_rhs = R^-1 R^-T b_J`` and
+    ``offset = Q R^-T b_J``, and its affine projection
 
-        x = u - A_J^T lam,    lam = G A_J u - G b_J,    G = inv(A_J A_J^T),
+        x = u - A_J^T lam = u - Q Q^T u + offset,    lam = mult u - mult_rhs.
 
-    held as ``A = A_J``, ``mult = G A_J``, ``mult_rhs = G b_J`` and
-    ``offset = A_J^T G b_J``.  The empty face (J empty) is the whole space.
+    The empty face (J empty) is the whole space.
     """
 
     active: tuple
-    A: np.ndarray
+    Q: np.ndarray
     mult: np.ndarray
     mult_rhs: np.ndarray
     offset: np.ndarray
 
     @staticmethod
     def stack(poly, sets):
-        """``(A, mult, mult_rhs, offset)`` of the faces of ``poly`` with the
-        active sets in the rows of ``sets`` (integers, shape ``(N, k)``),
-        each stacked along a first axis of length N: one Gram ``inv`` and
-        one product per array.  Raises ``LinAlgError`` when some ``A_J
-        A_J^T`` is singular."""
-        AJ, bJ = poly.A[sets], poly.b[sets]
-        AJT = AJ.transpose(0, 2, 1)
-        gram_inv = np.linalg.inv(AJ @ AJT)
-        mult_rhs = gram_inv @ bJ[..., None]
-        return AJ, gram_inv @ AJ, mult_rhs[..., 0], (AJT @ mult_rhs)[..., 0]
-
-    @staticmethod
-    def projectors(A, mult):
-        """``A_J^T G A_J`` of each face of a stack, from its stacked ``A``
-        and ``mult``: the orthogonal projector onto the row space of A_J."""
-        return A.transpose(0, 2, 1) @ mult
+        """``(independent, (Q, mult, mult_rhs, offset))`` for the row sets
+        in the rows of ``sets`` (shape ``(N, k)``): one batched QR, the one
+        independence rule (every ``|R_ii| > DEFAULT_RANK_TOL max(1, max|A_J|)``)
+        and the arrays of the independent sets, stacked."""
+        AJ = poly.A[sets]
+        Q, R = np.linalg.qr(AJ.transpose(0, 2, 1))
+        tol = DEFAULT_RANK_TOL * np.maximum(1.0, np.abs(AJ).max(axis=(1, 2), initial=0.0))
+        independent = (np.abs(np.diagonal(R, axis1=1, axis2=2)) > tol[:, None]).all(axis=1)
+        Q, R_inv = Q[independent], np.linalg.inv(R[independent])
+        QT = Q.transpose(0, 2, 1)
+        y = poly.b[sets[independent]][:, None] @ R_inv  # (R^-T b_J)^T
+        return independent, (Q, R_inv @ QT, (y @ R_inv.transpose(0, 2, 1))[:, 0], (y @ QT)[:, 0])
 
     @classmethod
     def of(cls, poly, active):
         """The face of ``poly`` with active set ``active``: ``stack`` on a
         stack of one, so it agrees with the same face of any stack to the
-        last bit.  Raises ``LinAlgError`` when ``A_J A_J^T`` is singular."""
+        last bit.  Raises ``LinAlgError`` when its rows are dependent."""
         J = tuple(active)
-        arrays = cls.stack(poly, np.array(J, dtype=np.intp).reshape(1, len(J)))
+        independent, arrays = cls.stack(poly, np.array(J, dtype=np.intp).reshape(1, len(J)))
+        if not independent[0]:
+            raise np.linalg.LinAlgError("dependent rows")
         return cls(J, *(a[0] for a in arrays))
 
     @property
     def D(self):
-        """``A_J^T G A_J``, the orthogonal projector onto the row space of
-        A_J: ``projectors`` on a stack of one."""
-        return self.projectors(self.A[None], self.mult[None])[0]
+        """``Q Q^T``, the orthogonal projector onto the row space of A_J
+        (exactly symmetric)."""
+        return self.Q @ self.Q.T
 
     def project(self, U):
         """``(points, multipliers)``: the projection onto the face's affine
         hull of one point, or of each row of a 2-D ``U``, and its ``lam``."""
         lam = U @ self.mult.T - self.mult_rhs
-        return U - lam @ self.A, lam
+        return U - (U @ self.Q) @ self.Q.T + self.offset, lam
 
 
 class Projector:
@@ -279,7 +282,7 @@ class Projector:
         self.active = self.face.active
         # rows of A x <= b followed by -A_J x <= -b_J: one product tests
         # feasibility and the tightness of J
-        self._C_T = np.vstack([self.poly.A, -self.face.A]).T
+        self._C_T = np.vstack([self.poly.A, -self.poly.A[list(self.active)]]).T
         self._d = np.concatenate([self.poly.b, -self.poly.b[list(self.active)]])
 
     def _warm(self, U):
@@ -364,21 +367,27 @@ def _is_farkas_ray(poly, y):
                 and y @ poly.b < -RAY_TOL * norm * (1.0 + np.abs(poly.b).max()))
 
 
-def _split(AW, a):
-    """``(r, z)`` with ``a = A_W^T r + z`` and ``A_W z = 0``, for rows A_W
-    of full rank, from a Householder QR of ``A_W^T`` (LAPACK, called
-    directly: the wrappers cost more than the work).  The Gram system
-    ``A_W A_W^T r = A_W a`` would square the condition number of A_W, so
-    with near-parallel rows in W its z is roundoff, and so are the dual
-    steps and the rays they find.  Raises ``LinAlgError`` when R is
-    singular."""
+def _factor(AW):
+    """``(qr, Q)``: the QR ``A_W^T = Q R``, R in the upper triangle of ``qr``
+    (LAPACK, called directly: the wrappers cost more than the work)."""
     qr, tau, _, _ = lapack.dgeqrf(AW.T)
-    Q, _, _ = lapack.dorgqr(qr, tau)
-    d = a @ Q
-    r, info = lapack.dtrtrs(qr, d)
+    return qr, lapack.dorgqr(qr, tau)[0]
+
+
+def _solve_r(qr, d, trans=0):
+    """``R^-1 d``, or ``R^-T d`` with ``trans=1``; raises ``LinAlgError`` if R is singular."""
+    r, info = lapack.dtrtrs(qr, d, trans=trans)
     if info:
         raise np.linalg.LinAlgError("singular working set")
-    return r, a - Q @ d
+    return r
+
+
+def _split(AW, a):
+    """``(r, z)`` with ``a = A_W^T r + z`` and ``A_W z = 0``, for rows A_W
+    of full rank, from ``_factor``."""
+    qr, Q = _factor(AW)
+    d = a @ Q
+    return _solve_r(qr, d), a - Q @ d
 
 
 def _dual_loop(poly, u):
@@ -394,13 +403,11 @@ def _dual_loop(poly, u):
                 viol = A @ x - b
                 viol[W] = 0.0  # working rows are tight up to rounding
                 if viol.max(initial=-math.inf) <= slack:
-                    AW = A[W]
-                    G, rhs = AW @ AW.T, AW @ u - b[W]
-                    try:
-                        lam = np.linalg.solve(G, rhs)
-                    except np.linalg.LinAlgError:
-                        lam = np.linalg.lstsq(G, rhs, rcond=None)[0]
-                    return u - AW.T @ lam, tuple(sorted(i for i, l in zip(W, lam) if l > 0.0))
+                    # the point u - A_W^T lam with A_W x = b_W, lam = R^-1 d
+                    qr, Q = _factor(A[W])
+                    d = u @ Q - _solve_r(qr, b[W], trans=1)
+                    lam = _solve_r(qr, d)
+                    return u - Q @ d, tuple(sorted(i for i, l in zip(W, lam) if l > 0.0))
                 p = int(np.argmax(viol))
                 a_p, lam_p = A[p], 0.0
                 # a_p is dependent on A_W when |z| <= 1e-10 max(1, |a_p|)

@@ -252,7 +252,7 @@ def _null_inclusion_residual(instance, fixset):
     worst = 0.0
     for pc, basis in zip(fixset.pieces, fixset.null_bases):
         worst = max(worst, float(np.abs(instance.Q @ basis).max(initial=0.0)),
-                    float(np.abs(pc.face.A @ basis).max(initial=0.0)))
+                    float(np.abs(pc.source.A[list(pc.active)] @ basis).max(initial=0.0)))
     return worst
 
 

@@ -3,17 +3,22 @@ package code they check."""
 
 from itertools import combinations
 
+import mpmath
 import numpy as np
 
+from fpicert import problems
 from fpicert.engine import STOP_MAX_ITERS, IterationTrace
 from fpicert.errors import Infeasible, NoCertificate, RhoOutOfRange
-from fpicert.linalg import pseudo_inverse
-from fpicert.polyhedra import KKT_TOL
+from fpicert.linalg import DEFAULT_RANK_TOL, pseudo_inverse
+from fpicert.polyhedra import KKT_TOL, Polyhedron
 from fpicert.problems import example_contraction_operator, example_rotation_operator
 from fpicert.prox import box_indicator, l1, linear, prox, prox_map, quadratic
 
 #: Certified candidates further apart than this indicate a tolerance failure.
 TIE_TOL = 1e-6
+
+#: Working precision, in decimal digits, of ``hoffman_bound_mp``.
+MP_DIGITS = 40
 
 
 def run_admm_direct(f, g, rho, y0=None, w0=None, iters=100):
@@ -160,3 +165,46 @@ def K_from_rho(rho):
     if not 0.0 <= rho < 1.0:
         raise RhoOutOfRange(f"rho = {rho} outside [0, 1)")
     return 1.0 / (1.0 - rho)
+
+
+def hoffman_bound_mp(AJ, Q, gamma, alpha):
+    """``1 / sigma_min_plus(M_J)`` (0.0 when ``M_J = 0``) of the DR piece
+    on the face with rows ``AJ``, rebuilt from the float data at
+    ``MP_DIGITS`` digits:
+
+        M_J = 2a (I - W + (2W - I) D_J),    W = inv(gamma Q + I),
+        D_J = A_J^T inv(A_J A_J^T) A_J,
+
+    with ``W = I`` when ``Q`` is None (an LP).  The Gram formula, which
+    squares the condition number of A_J, is harmless at this precision,
+    and it is not the QR the package uses.  The singular values come from
+    ``mpmath.svd_r``, with the package's cutoff ``DEFAULT_RANK_TOL *
+    sigma_max``."""
+    with mpmath.workdps(MP_DIGITS):
+        n = AJ.shape[1]
+        eye = mpmath.eye(n)
+        W = eye if Q is None else mpmath.inverse(gamma * mpmath.matrix(Q.tolist()) + eye)
+        D = mpmath.zeros(n)
+        if len(AJ):
+            A = mpmath.matrix(AJ.tolist())
+            D = A.T * mpmath.inverse(A * A.T) * A
+        M = 2 * alpha * (eye - W + (2 * W - eye) * D)
+        svals = list(mpmath.svd_r(M, compute_uv=False))
+        kept = [s for s in svals if s > DEFAULT_RANK_TOL * max(svals)]
+        return float(1 / min(kept)) if kept else 0.0
+
+
+def near_parallel_variant(kind, seed):
+    """``generate_lp(4, 7, seed)`` or ``generate_qp(4, 7, 2, seed)`` with
+    one more row: row 0 tilted by ``1e-7 delta``, ``delta`` the first
+    draw of ``default_rng(seed)``, and passing ``1e-9`` above the planted
+    optimum."""
+    if kind == "lp":
+        inst, truth = problems.generate_lp(4, 7, seed)
+    else:
+        inst, truth = problems.generate_qp(4, 7, 2, seed)
+    a = inst.X.A[0] + 1e-7 * np.random.default_rng(seed).standard_normal(4)
+    X = Polyhedron(np.vstack([inst.X.A, a]),
+                   np.append(inst.X.b, a @ truth.known_optimum + 1e-9))
+    return problems.ProblemInstance(kind=kind, c=inst.c, Q=inst.Q, X=X,
+                                    name=f"{inst.name}-near-parallel", seed=seed)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fpicert import analysis, engine, polyhedra, problems, rates
+from fpicert import analysis, engine, polyhedra, problems, rates, verify
 from fpicert.analysis import (enumerate_pieces_lp, enumerate_pieces_qp,
                               error_bound_constant, estimate_min_residual,
                               fixed_point_set, point_fixed_set)
@@ -17,7 +17,7 @@ from fpicert.prox import linear, prox_map, quadratic
 from fpicert.operators import dr_piece, make_dr
 from fpicert.polyhedra import (KKT_TOL, Face, Polyhedron, affine_rows,
                                intersect, project_polyhedron, whole_space)
-from oracles import project_brute_force
+from oracles import hoffman_bound_mp, near_parallel_variant, project_brute_force
 
 # canonical one-dimensional instance: min x over x >= 0, optimum 0;
 # the splitting operator's fixed point is w = -gamma
@@ -166,6 +166,12 @@ def _faces_one_lp_per_face(X):
     return faces
 
 
+def _faces(X):
+    """The active sets of the faces ``_enumerate_faces`` walks, in its
+    order."""
+    return [tuple(J) for sets, _ in analysis._enumerate_faces(X) for J in sets.tolist()]
+
+
 def _acceptance_instances():
     """The 20 acceptance LPs (seeds 0-19) and 20 acceptance QPs (seeds
     100-119)."""
@@ -206,7 +212,7 @@ def _pieces_one_face_at_a_time(X, W, h, alpha):
     ``dr_piece`` on a stack of one and ``spectral_summary`` of the one
     matrix, with the zero's region flag from ``contains``."""
     pieces = []
-    for J in analysis._enumerate_faces(X):
+    for J in _faces(X):
         face = Face.of(X, J)
         M, v = dr_piece(W, h, alpha, face.D[None], face.offset[None])
         M, v = M[0], v[0]
@@ -240,7 +246,7 @@ def test_stacked_pieces_match_the_per_face_build(monkeypatch):
         for piece, (face, M, v, rank, sigma, x0) in zip(pieces, reference):
             where = (inst.name, piece.active)
             assert piece.active == face.active, where
-            for name in ("A", "mult", "mult_rhs", "offset", "D"):
+            for name in ("Q", "mult", "mult_rhs", "offset", "D"):
                 assert np.array_equal(getattr(piece.face, name), getattr(face, name)), where
             assert np.array_equal(piece.M, M) and np.array_equal(piece.v, v), where
             assert (piece.rank, piece.sigma_min_plus) == (rank, sigma), where
@@ -256,16 +262,7 @@ def test_stacked_pieces_match_the_per_face_build(monkeypatch):
 
 def test_faces_match_the_per_face_loop_on_acceptance_problems():
     for inst in _acceptance_instances():
-        assert analysis._enumerate_faces(inst.X) == _faces_one_lp_per_face(inst.X)
-
-
-def _near_parallel_variant(seed):
-    """``generate_lp(4, 7, seed)``'s X with one more row, row 0 tilted by
-    ``1e-7 delta`` and passing ``1e-9`` above the planted optimum."""
-    inst, truth = problems.generate_lp(4, 7, seed)
-    a = inst.X.A[0] + 1e-7 * np.random.default_rng(seed).standard_normal(4)
-    return Polyhedron(np.vstack([inst.X.A, a]),
-                      np.append(inst.X.b, a @ truth.known_optimum + 1e-9))
+        assert _faces(inst.X) == _faces_one_lp_per_face(inst.X)
 
 
 def test_face_walk_needs_no_highs_on_acceptance_problems(monkeypatch):
@@ -284,7 +281,7 @@ def test_face_walk_stores_only_points_in_x(monkeypatch):
     # row 7, against a slack of 2.5e-9; every face the walk returns must
     # be hit by a stored point that lies in X within the slack, and
     # HiGHS, asked directly, finds each of them nonempty
-    X = _near_parallel_variant(7)
+    X = near_parallel_variant("lp", 7).X
     slack = polyhedra.face_slack(X)
     stored = []
     basic_points, face_point = analysis._basic_points, analysis.face_feasible_point
@@ -301,7 +298,7 @@ def test_face_walk_stores_only_points_in_x(monkeypatch):
         return w
     monkeypatch.setattr(analysis, "_basic_points", record_basic)
     monkeypatch.setattr(analysis, "face_feasible_point", record_face)
-    faces = analysis._enumerate_faces(X)
+    faces = _faces(X)
     points = np.array([w for w in stored if X.contains(w, slack)])
     for J in faces:
         off_face = np.abs(points @ X.A[list(J)].T - X.b[list(J)]).max(axis=1, initial=0.0)
@@ -311,18 +308,24 @@ def test_face_walk_stores_only_points_in_x(monkeypatch):
         assert J not in faces
 
 
-def test_face_walk_on_near_parallel_variants():
+def test_face_walk_on_near_parallel_variants(monkeypatch):
     # HiGHS ends with status 4 on face (4, 6, 7) of seed 28 and face
     # (4, 7) of seed 80, which the loop settles with checked rays;
     # NoCertificate and Infeasible are the only errors the walk may raise,
-    # and it raises neither here
+    # and it raises neither here.  The loop's final point comes from a QR
+    # of its working set, so its points lie on their faces and HiGHS is
+    # asked 21 times over the 100 variants (130 times from a Gram solve)
+    calls, highs = [], polyhedra._feasibility_lp
+    monkeypatch.setattr(polyhedra, "_feasibility_lp",
+                        lambda poly, J: calls.append(J) or highs(poly, J))
     raised = {}
     for seed in range(100):
         try:
-            analysis._enumerate_faces(_near_parallel_variant(seed))
+            analysis._enumerate_faces(near_parallel_variant("lp", seed).X)
         except (NoCertificate, Infeasible) as error:
             raised[seed] = error
     assert not raised, raised
+    assert len(calls) <= 21
 
 
 @st.composite
@@ -361,7 +364,7 @@ def test_faces_match_the_per_face_loop_on_degenerate_rows(case):
         with pytest.raises(Infeasible):
             analysis._enumerate_faces(X)
     else:
-        assert analysis._enumerate_faces(X) == _faces_one_lp_per_face(X)
+        assert _faces(X) == _faces_one_lp_per_face(X)
 
 
 def test_lazy_region_equals_the_explicit_formula():
@@ -373,14 +376,18 @@ def test_lazy_region_equals_the_explicit_formula():
         if not p.active:
             assert p.region is X
             continue
-        AJ, bJ = X.A[list(p.active)], X.b[list(p.active)]
-        gram_inv = np.linalg.inv(AJ @ AJ.T)
-        C1 = X.A @ (np.eye(n) - AJ.T @ (gram_inv @ AJ))
-        d1 = X.b - X.A @ (AJ.T @ (gram_inv @ bJ))
+        face = p.face
+        C1 = X.A @ (np.eye(n) - face.D)
+        d1 = X.b - X.A @ face.offset
         keep = np.abs(C1).max(axis=1) > 1e-12
-        assert np.array_equal(p.region.A, np.vstack([C1[keep], -(gram_inv @ AJ)]))
-        assert np.array_equal(p.region.b, np.concatenate([d1[keep], -(gram_inv @ bJ)]))
+        assert np.array_equal(p.region.A, np.vstack([C1[keep], -face.mult]))
+        assert np.array_equal(p.region.b, np.concatenate([d1[keep], -face.mult_rhs]))
         assert p.region is p.region
+        # the face's D and offset are pinv(A_J) A_J and pinv(A_J) b_J;
+        # these faces are well conditioned
+        AJ, bJ = X.A[list(p.active)], X.b[list(p.active)]
+        assert np.abs(face.D - np.linalg.pinv(AJ) @ AJ).max() <= 1e-12
+        assert np.abs(face.offset - np.linalg.pinv(AJ) @ bJ).max() <= 1e-12
 
 
 def test_qp_pieces_reduce_to_lp_at_zero_curvature():
@@ -520,6 +527,62 @@ def test_lp_hoffman_bounds_are_inverse_two_alpha():
     fs = fixed_point_set(enumerate_pieces_lp(inst.X, inst.c, 1.0, 0.25))
     K = error_bound_constant(enumerate_pieces_lp(inst.X, inst.c, 1.0, 0.25), fs)
     assert K == pytest.approx(2.0, abs=1e-9)
+
+
+def _oracle_gaps(inst, gamma, alpha=0.5):
+    """``(piece, K_mp, gap, bound)`` for each piece that ``verify.certify``
+    finds meeting the fixed-point set: ``hoffman_bound_mp`` of its face
+    and ``|K - K_mp| / K_mp`` against a first-order bound on it.
+
+    The QR of ``A_J^T`` is backward stable, so the computed ``D_J`` is the
+    projector onto a row space tilted by about ``eps cond(A_J)``; ``M_J``
+    moves by ``2a`` times that, as ``||2W - I|| <= 1``, and the SVD adds
+    ``eps ||M_J||``.  ``sigma_min_plus`` moves by at most ``||dM||``, so
+    K moves by ``||dM|| K`` relative.  The factor ``10 n`` stands for the
+    dimension factors of those backward errors."""
+    n = inst.dim
+    out = []
+    for piece in verify.certify(inst, gamma, alpha)[1].pieces:
+        AJ = inst.X.A[list(piece.active)]
+        K_mp = hoffman_bound_mp(AJ, inst.Q, gamma, alpha)
+        cond = np.linalg.cond(AJ) if len(AJ) else 1.0
+        tilt = 2 * alpha * cond + np.linalg.norm(piece.M, 2)
+        bound = 10 * n * np.finfo(float).eps * tilt * piece.hoffman_bound
+        gap = abs(piece.hoffman_bound - K_mp) / K_mp if K_mp else piece.hoffman_bound
+        out.append((piece, K_mp, gap, bound))
+    return out
+
+
+def _gamma(inst):
+    """The acceptance gamma: 1 for an LP, 1/(2 lambda_max(Q)) for a QP."""
+    return 1.0 if inst.kind == "lp" else 0.5 / lambda_max_psd(inst.Q)
+
+
+def test_k_matches_the_40_digit_oracle():
+    # each piece meeting the fixed set, on the acceptance problems and an
+    # enum-wide QP (m = 16), against its 40-digit rebuild; the oracle
+    # does not check which pieces meet the fixed set, a float decision of
+    # its own
+    wide = problems.generate_qp(6, 16, 4, 0)[0]
+    for inst in _acceptance_instances() + [wide]:
+        for piece, K_mp, gap, bound in _oracle_gaps(inst, _gamma(inst)):
+            assert gap <= bound, (inst.name, piece.active, piece.hoffman_bound, K_mp)
+
+
+def test_k_on_near_parallel_variants():
+    # the 100 LP and 100 QP variants certify without an error; every LP
+    # has K = 1/(2 alpha) = 1, and every piece meeting the fixed set
+    # matches its 40-digit rebuild within the bound of _oracle_gaps (the
+    # rows 1e-7 apart make cond(A_J) about 1e7 on some faces); which
+    # pieces meet the fixed set is not checked
+    for seed in range(100):
+        for kind in ("lp", "qp"):
+            inst = near_parallel_variant(kind, seed)
+            gaps = _oracle_gaps(inst, _gamma(inst))
+            if kind == "lp":  # K is the largest bound of these pieces
+                assert abs(max(p.hoffman_bound for p, *_ in gaps) - 1.0) <= 1e-9, seed
+            for piece, K_mp, gap, bound in gaps:
+                assert gap <= bound, (inst.name, piece.active, piece.hoffman_bound, K_mp)
 
 
 def test_lp_sampled_ratio_within_piece_bound():

@@ -7,6 +7,7 @@ import pytest
 from fpicert import cli, problems
 from fpicert.linalg import lambda_max_psd
 from fpicert.polyhedra import Polyhedron
+from oracles import near_parallel_variant
 
 TINY_LP = "A: -1\nb: 0\nc: 1\nkind: lp\nm: 1\nn: 1\n"
 
@@ -169,6 +170,17 @@ def test_analyze_rank_column_uses_the_piece_rank(tmp_path):
     _, rank, sigma, bound = row.split()[:4]
     assert rank == "1"
     assert float(bound) == pytest.approx(1.0 / float(sigma), rel=1e-5)
+
+
+def test_analyze_near_parallel_rows(tmp_path):
+    # row 7 is row 0 tilted by 1e-7, so the Gram matrix of the face
+    # (0, 1, 2, 7) is numerically singular; a LinAlgError from it would
+    # reach the CLI as invalid input (exit 2)
+    path = tmp_path / "lp.txt"
+    problems.save(near_parallel_variant("lp", 15), path)
+    out = str(tmp_path / "lp_report.txt")
+    assert cli.main(["analyze", str(path), "--out", out]) == cli.EXIT_OK
+    assert json.loads(Path(out + ".json").read_text())["K"] == pytest.approx(1.0, abs=1e-9)
 
 
 def test_analyze_budget_exit_four(tmp_path):

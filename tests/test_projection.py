@@ -62,7 +62,7 @@ def test_certificate_reconstructs_displacement():
     project = Projector(X)
     x = project(u)
     lam = project.face.project(u)[1]
-    resid = (u - x) - project.face.A.T @ lam
+    resid = (u - x) - X.A[list(project.active)].T @ lam
     assert np.linalg.norm(resid) <= KKT_TOL * (1.0 + np.linalg.norm(u))
     assert np.all(lam >= 0.0)
 
@@ -312,8 +312,8 @@ def test_projector_falls_back_on_a_stale_face():
         project(np.zeros(3))
 
 
-def test_projector_holds_no_face_when_its_gram_matrix_is_singular(monkeypatch):
-    # a face whose A_J A_J^T is numerically singular is not held: the
+def test_projector_holds_no_face_when_its_rows_are_dependent(monkeypatch):
+    # a face whose rows Face.of calls dependent is not held: the
     # projector keeps the whole space as its face, and every later call
     # goes through the cold loop
     X = Polyhedron(np.vstack([np.eye(2), -np.eye(2)]), np.ones(4))
@@ -321,7 +321,7 @@ def test_projector_holds_no_face_when_its_gram_matrix_is_singular(monkeypatch):
 
     def singular(cls, poly, active):
         if active:
-            raise np.linalg.LinAlgError("Singular matrix")
+            raise np.linalg.LinAlgError("dependent rows")
         return face_of(cls, poly, active)
 
     monkeypatch.setattr(Face, "of", classmethod(singular))
